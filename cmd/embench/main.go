@@ -2038,7 +2038,12 @@ func runPR10Doc() (pr10Doc, error) {
 				jpath := filepath.Join(dir, fmt.Sprintf("run-%d.journal", seq))
 				job, err := empart.OpenSortJob(
 					empart.JobConfig{Config: cfg, Path: path, Journal: jpath, FullSync: fullSync},
-					func() ([]empart.Elem, error) { return elems, nil })
+					func(add func(empart.Elem)) error {
+						for _, e := range elems {
+							add(e)
+						}
+						return nil
+					})
 				if err != nil {
 					return pr10Row{}, err
 				}

@@ -33,7 +33,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -43,7 +42,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -52,7 +50,6 @@ import (
 
 	empart "repro"
 	"repro/internal/emio/metrics"
-	"repro/internal/verify"
 )
 
 var (
@@ -310,11 +307,8 @@ func run(o runOpts, in io.Reader, dst, report io.Writer) error {
 	if o.journal != "" || o.resume {
 		return runJob(o, in, dst, report)
 	}
-	elems, err := parseKeys(in)
-	if err != nil {
-		return err
-	}
 	var sys *empart.System
+	var err error
 	if o.backing != "" {
 		sys, err = empart.NewFileBacked(o.cfg, o.backing)
 	} else {
@@ -324,16 +318,23 @@ func run(o runOpts, in io.Reader, dst, report io.Writer) error {
 		return err
 	}
 	defer sys.Close()
+	stage := sys.StageStream()
+	if err := stageKeys(in, stage.Append); err != nil {
+		return err
+	}
+	f, err := stage.Finish()
+	if err != nil {
+		return err
+	}
 	liveSys.Store(sys)
 	defer liveSys.Store(nil)
 	reportBackend(sys, o, report)
-	f := sys.Stage(elems)
 	armCrash(sys, o)
 	sys.ResetStats()
 	if o.trace {
 		sys.EnableTracing()
 	}
-	n := int64(len(elems))
+	n := f.Len()
 	mc := sys.Machine()
 	stopTelemetry, err := startTelemetry(sys, o, int64(mc.Sort(n)), report)
 	if err != nil {
@@ -356,7 +357,7 @@ func runJob(o runOpts, in io.Reader, dst, report io.Writer) error {
 		Journal:  o.journal,
 		Resume:   o.resume,
 		FullSync: o.fullSync,
-	}, func() ([]empart.Elem, error) { return parseKeys(in) })
+	}, func(add func(empart.Elem)) error { return stageKeys(in, add) })
 	if err != nil {
 		return err
 	}
@@ -421,17 +422,10 @@ func armCrash(sys *empart.System, o runOpts) {
 	sys.SetInjector(inj)
 }
 
-// emit verifies and writes the sorted output and prints the cost report.
+// emit writes the sorted output, checking its order, and prints the cost
+// report.
 func emit(sys *empart.System, o runOpts, n int64, out *empart.File, dst, report io.Writer) error {
-	sorted := sys.Read(out)
-	if err := verify.Sorted(sorted); err != nil {
-		return fmt.Errorf("internal error: %w", err)
-	}
-	w := bufio.NewWriter(dst)
-	for _, e := range sorted {
-		fmt.Fprintln(w, e.Key)
-	}
-	if err := w.Flush(); err != nil {
+	if err := writeKeys(out, dst); err != nil {
 		return err
 	}
 	st := sys.Stats()
@@ -466,26 +460,4 @@ func shardBalance(bytes []int64) string {
 	}
 	mean := float64(sum) / float64(len(bytes))
 	return fmt.Sprintf("max/mean=%.2f", float64(max)/mean)
-}
-
-// parseKeys reads whitespace-separated signed integers.
-func parseKeys(in io.Reader) ([]empart.Elem, error) {
-	var elems []empart.Elem
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	sc.Split(bufio.ScanWords)
-	for sc.Scan() {
-		k, err := strconv.ParseInt(sc.Text(), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("parse %q: %w", sc.Text(), err)
-		}
-		elems = append(elems, empart.Elem{Key: k, Aux: int64(len(elems))})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(elems) == 0 {
-		return nil, fmt.Errorf("no input")
-	}
-	return elems, nil
 }

@@ -168,7 +168,7 @@ func counterValue(t *testing.T, scrape, name string) int64 {
 }
 
 func TestParseKeysLargeValues(t *testing.T) {
-	elems, err := parseKeys(strings.NewReader("9223372036854775807 -9223372036854775808"))
+	elems, err := collectKeys(strings.NewReader("9223372036854775807 -9223372036854775808"))
 	if err != nil {
 		t.Fatal(err)
 	}

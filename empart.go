@@ -102,6 +102,8 @@ type (
 	Stats = emio.Stats
 	// File is a sequence of elements on the simulated disk.
 	File = emio.File
+	// FileBuilder stages a file element by element, one block at a time.
+	FileBuilder = emio.FileBuilder
 	// Disk is the simulated disk itself: block store plus counters. Exposed
 	// for the shard hook and advanced harness use.
 	Disk = emio.Disk
@@ -573,12 +575,23 @@ func (s *System) LiveScratchFiles() []string { return s.ctx.Disk().LiveScratchFi
 
 // Stage loads elements onto the disk as a new file without charging I/Os:
 // the harness-side input channel. Algorithms producing files charge normally.
+// It is a loop over the builder StageStream returns.
 func (s *System) Stage(elems []Elem) *File {
 	return emio.BuildFile(s.ctx.Disk(), "staged", elems)
 }
 
+// StageStream starts a new staged input file that is filled element by
+// element and written out a block at a time, without charging I/Os: the
+// streaming form of Stage, whose host memory is one block whatever the
+// input's length. Finish returns the file, or the error of a failed block
+// write.
+func (s *System) StageStream() *FileBuilder {
+	return emio.NewFileBuilder(s.ctx.Disk(), "staged")
+}
+
 // Read copies a file's contents back to host memory without charging I/Os:
-// the harness-side output channel.
+// the harness-side output channel. It is a loop over File.Blocks, the
+// streaming form whose host memory is one block whatever the file's length.
 func (s *System) Read(f *File) []Elem { return f.Snapshot() }
 
 // guard runs one algorithm operation with failure teardown: scratch files

@@ -15,8 +15,9 @@ import (
 // counts every block transfer, and optionally injects faults for
 // failure-path testing.
 //
-// A Disk is not safe for concurrent use; the EM model is sequential and so is
-// every algorithm built on it.
+// A Disk is not safe for concurrent use: an algorithm drives its Disk from
+// one goroutine, and the parallel engine gives each worker its own shard
+// Disk (see NewShard).
 type Disk struct {
 	blockSize int
 	store     blockStore

@@ -1,6 +1,9 @@
 package emio
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Elem is the record type moved between disk and memory. Key is the ordered
 // attribute the paper's problems are defined on; Aux is an auxiliary word that
@@ -14,17 +17,31 @@ type Elem struct {
 	Aux int64
 }
 
-// cmpHook, when non-nil, observes the outcome of every Less/Compare call as
-// an ordered pair (lo strictly precedes hi). It exists for the
+// cmpHook, when set, observes the outcome of every Less/Compare call as an
+// ordered pair (lo strictly precedes hi). It exists for the
 // comparison-transcript tests that rebuild the partial order ≺* an algorithm
 // has learned (paper §2) and check the proofs' combinatorial facts against
-// real executions. The model is sequential, so a plain package variable is
-// safe; the nil check costs nothing measurable.
-var cmpHook func(lo, hi Elem)
+// real executions. The parallel engine compares on several goroutines, so
+// the hook is an atomic pointer: installing or removing it is race-free, and
+// the unhooked check is one atomic load. A hook must itself be safe for the
+// goroutines that call it. inmem.Sort compares without Less/Compare, so it
+// checks CompareHooked and falls back to a sequential
+// slices.SortFunc(s, Compare) while a hook is installed.
+var cmpHook atomic.Pointer[func(lo, hi Elem)]
 
 // SetCompareHook installs (or, with nil, removes) the comparison observer.
 // Harness-side use only.
-func SetCompareHook(h func(lo, hi Elem)) { cmpHook = h }
+func SetCompareHook(h func(lo, hi Elem)) {
+	if h == nil {
+		cmpHook.Store(nil)
+		return
+	}
+	cmpHook.Store(&h)
+}
+
+// CompareHooked reports whether a comparison observer is installed. Sorts
+// that compare without Less/Compare check it and take an observed path.
+func CompareHooked() bool { return cmpHook.Load() != nil }
 
 // Less reports whether a precedes b in the total order (Key, Aux).
 //
@@ -33,11 +50,11 @@ func SetCompareHook(h func(lo, hi Elem)) { cmpHook = h }
 // ranks are unambiguous even under duplicate keys.
 func Less(a, b Elem) bool {
 	less := a.Key < b.Key || (a.Key == b.Key && a.Aux < b.Aux)
-	if cmpHook != nil {
+	if h := cmpHook.Load(); h != nil {
 		if less {
-			cmpHook(a, b)
+			(*h)(a, b)
 		} else if a != b {
-			cmpHook(b, a)
+			(*h)(b, a)
 		}
 	}
 	return less
@@ -56,12 +73,12 @@ func Compare(a, b Elem) int {
 	case a.Aux > b.Aux:
 		c = +1
 	}
-	if cmpHook != nil {
+	if h := cmpHook.Load(); h != nil {
 		switch c {
 		case -1:
-			cmpHook(a, b)
+			(*h)(a, b)
 		case +1:
-			cmpHook(b, a)
+			(*h)(b, a)
 		}
 	}
 	return c

@@ -2,6 +2,7 @@ package emio
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -775,5 +776,55 @@ func TestWriterOnSealedFileFailsOnFlush(t *testing.T) {
 	}
 	if ctx.Mem().Used() != 0 {
 		t.Errorf("leaked %d", ctx.Mem().Used())
+	}
+}
+
+func TestFileBuilderAndBlocks(t *testing.T) {
+	ctx := mustCtx(t, 64, 8)
+	d := ctx.Disk()
+	for _, n := range []int{0, 1, 8, 21} {
+		b := NewFileBuilder(d, "built")
+		for _, e := range seqElems(n) {
+			b.Append(e)
+		}
+		f, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Len() != int64(n) || f.NumBlocks() != (n+7)/8 {
+			t.Fatalf("n=%d: built %d elements in %d blocks", n, f.Len(), f.NumBlocks())
+		}
+		var got []Elem
+		it := f.Blocks()
+		for it.Next() {
+			if len(it.Block()) > 8 {
+				t.Fatalf("n=%d: block of %d elements", n, len(it.Block()))
+			}
+			got = append(got, it.Block()...)
+		}
+		if it.Err() != nil || !slices.Equal(got, seqElems(n)) {
+			t.Fatalf("n=%d: read back %v (err %v)", n, got, it.Err())
+		}
+		f.Release()
+	}
+	if st := d.Stats(); st.Reads != 0 || st.Writes != 0 {
+		t.Errorf("staging and readback charged %+v", st)
+	}
+
+	// A failed block write surfaces at Finish and releases the partial file.
+	boom := errors.New("boom")
+	inj := NewInjector(1)
+	inj.FailWriteErr(1, boom)
+	d.SetInjector(inj)
+	defer d.SetInjector(nil)
+	b := NewFileBuilder(d, "failing")
+	for _, e := range seqElems(30) {
+		b.Append(e)
+	}
+	if _, err := b.Finish(); !errors.Is(err, boom) {
+		t.Errorf("Finish after a failed write: %v, want %v", err, boom)
+	}
+	if live := d.LiveFiles(); len(live) != 0 {
+		t.Errorf("failed build left live files %v", live)
 	}
 }

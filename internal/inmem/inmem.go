@@ -12,17 +12,73 @@ package inmem
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/emio"
 )
 
-// Sort sorts s in place by (Key, Aux). slices.SortFunc (pattern-defeating
-// quicksort on a concrete comparator) is markedly faster than a reflective
-// sort.Slice, which matters for run formation: on a single core the in-memory
-// sort of each run is serial work that caps the parallel engine's speedup.
+// parallelSortMin is the smallest slice Sort splits across two goroutines:
+// below it the goroutine handoff costs more than the second core saves.
+const parallelSortMin = 1 << 15
+
+// splitSample is how many evenly spaced elements the two-way split takes
+// the median of. pdqsort's own ninther (9 elements) often lands 20-30% off
+// the middle, which would leave one goroutine most of the work; the median
+// of 127 is typically within ~5% of it.
+const splitSample = 127
+
+// Sort sorts s in place by (Key, Aux) with a pattern-defeating quicksort
+// specialised to emio.Elem (zsortelem.go), whose comparison inlines. Run
+// formation sorts M-element runs, and on page-cache backing that sort is the
+// job's largest CPU cost, so a slice of at least parallelSortMin elements on
+// a host with GOMAXPROCS > 1 is split by one pdqsort partition and its two
+// sides are sorted on two goroutines.
+//
+// The order is total on values, so every correct sort leaves the same bytes:
+// the result is identical to slices.SortFunc(s, emio.Compare). While a
+// comparison hook is installed (the transcript tests), Sort takes exactly
+// that sequential path instead, so the hook sees the same comparisons, in
+// the same order, on one goroutine.
 func Sort(s []emio.Elem) {
-	slices.SortFunc(s, emio.Compare)
+	if emio.CompareHooked() {
+		slices.SortFunc(s, emio.Compare)
+		return
+	}
+	n := len(s)
+	limit := bits.Len(uint(n))
+	if n < parallelSortMin || runtime.GOMAXPROCS(0) < 2 {
+		pdqsortElem(s, 0, n, limit)
+		return
+	}
+	// s[mid] lands in its final place, below-pivot elements to its left; the
+	// right side's pdqsort may read s[mid] (its predecessor) but no side
+	// writes outside its own range.
+	mid, _ := partitionElem(s, 0, n, splitPivot(s))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pdqsortElem(s, 0, mid, limit)
+	}()
+	pdqsortElem(s, mid+1, n, limit)
+	wg.Wait()
+}
+
+// splitPivot returns the index of the median of splitSample evenly spaced
+// elements of s, which must hold at least splitSample elements.
+func splitPivot(s []emio.Elem) int {
+	var idx [splitSample]int
+	step := len(s) / splitSample
+	for k := range idx {
+		idx[k] = k * step
+		for j := k; j > 0 && lessElem(s[idx[j]], s[idx[j-1]]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	return idx[splitSample/2]
 }
 
 // IsSorted reports whether s is nondecreasing by (Key, Aux).

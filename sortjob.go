@@ -52,12 +52,13 @@ type SortJob struct {
 	in  *File
 }
 
-// OpenSortJob prepares a crash-safe sort job. For a fresh job, load supplies
-// the input elements, which are staged and journaled before Run; for a
-// resumed job load is not called — the input is adopted from the journal's
-// staged manifest, so it must describe the same backing file the crashed job
-// wrote.
-func OpenSortJob(jc JobConfig, load func() ([]Elem, error)) (*SortJob, error) {
+// OpenSortJob prepares a crash-safe sort job. For a fresh job, load streams
+// the input: it calls add once per element, in order, and each block is
+// staged as soon as it fills, so the job never holds its input in host
+// memory. The staged input is journaled before Run. For a resumed job load
+// is not called — the input is adopted from the journal's staged manifest,
+// so it must describe the same backing file the crashed job wrote.
+func OpenSortJob(jc JobConfig, load func(add func(Elem)) error) (*SortJob, error) {
 	if jc.Path == "" {
 		return nil, fmt.Errorf("empart: sort job needs a backing file (checkpoint manifests describe backing-file extents)")
 	}
@@ -73,7 +74,7 @@ func OpenSortJob(jc JobConfig, load func() ([]Elem, error)) (*SortJob, error) {
 	return freshSortJob(jc, load)
 }
 
-func freshSortJob(jc JobConfig, load func() ([]Elem, error)) (*SortJob, error) {
+func freshSortJob(jc JobConfig, load func(add func(Elem)) error) (*SortJob, error) {
 	sys, err := NewFileBacked(jc.Config, jc.Path)
 	if err != nil {
 		return nil, err
@@ -89,11 +90,14 @@ func freshSortJob(jc JobConfig, load func() ([]Elem, error)) (*SortJob, error) {
 		sys.Close()
 		return nil, err
 	}
-	elems, err := load()
+	stage := sys.StageStream()
+	if err := load(stage.Append); err != nil {
+		return fail(err)
+	}
+	in, err := stage.Finish()
 	if err != nil {
 		return fail(err)
 	}
-	in := sys.Stage(elems)
 	// Durability order: input blocks first, then the manifest that points at
 	// them. In the default grade the page cache provides that order for free
 	// (Manifest drains the write pipeline before the journal append); under
@@ -109,7 +113,7 @@ func freshSortJob(jc JobConfig, load func() ([]Elem, error)) (*SortJob, error) {
 			return fail(err)
 		}
 	}
-	if err := ck.WriteBegin(int64(len(elems)), jc.Config.M, jc.Config.B); err != nil {
+	if err := ck.WriteBegin(in.Len(), jc.Config.M, jc.Config.B); err != nil {
 		return fail(err)
 	}
 	if err := ck.WriteStage(m); err != nil {

@@ -1,6 +1,7 @@
 package empart
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,9 +16,7 @@ import (
 func TestOpenSortJobValidation(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{M: 1 << 10, B: 1 << 5}
-	load := func() ([]Elem, error) {
-		return workload.Elems(workload.Uniform, 1<<10, cfg.B, 1), nil
-	}
+	load := addAll(workload.Elems(workload.Uniform, 1<<10, cfg.B, 1))
 
 	if _, err := OpenSortJob(JobConfig{Config: cfg, Journal: filepath.Join(dir, "j")}, load); err == nil {
 		t.Error("job without a backing file accepted")
@@ -42,8 +41,7 @@ func TestSortJobRunAndResumeShapeCheck(t *testing.T) {
 	journal := filepath.Join(dir, "j.journal")
 	elems := workload.Elems(workload.Uniform, 1<<12, cfg.B, 0x50b7)
 
-	job, err := OpenSortJob(JobConfig{Config: cfg, Path: backing, Journal: journal},
-		func() ([]Elem, error) { return elems, nil })
+	job, err := OpenSortJob(JobConfig{Config: cfg, Path: backing, Journal: journal}, addAll(elems))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,5 +87,36 @@ func TestSortJobRunAndResumeShapeCheck(t *testing.T) {
 	}
 	if out2.Len() != int64(len(elems)) {
 		t.Errorf("resumed output length %d, want %d", out2.Len(), len(elems))
+	}
+}
+
+// A failing input stream fails the job before anything is journaled, so the
+// journal it leaves cannot be resumed.
+func TestSortJobLoadError(t *testing.T) {
+	dir := t.TempDir()
+	jc := JobConfig{Config: Config{M: 1 << 10, B: 1 << 5}, Path: filepath.Join(dir, "b.dat"), Journal: filepath.Join(dir, "j")}
+	boom := errors.New("boom")
+	_, err := OpenSortJob(jc, func(add func(Elem)) error {
+		for i := 0; i < 100; i++ {
+			add(Elem{Key: int64(i), Aux: int64(i)})
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("load error %v, want %v", err, boom)
+	}
+	jc.Resume = true
+	if _, err := OpenSortJob(jc, nil); err == nil {
+		t.Error("resumed a job whose input never finished staging")
+	}
+}
+
+// addAll is a streaming job input that adds the elements of s in order.
+func addAll(s []Elem) func(add func(Elem)) error {
+	return func(add func(Elem)) error {
+		for _, e := range s {
+			add(e)
+		}
+		return nil
 	}
 }
