@@ -2,20 +2,27 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet lint test test-short race parity check fault crash bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr10 microbench table1 examples clean
+.PHONY: all build crossbuild vet lint test test-short race parity check fault crash bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr10 microbench table1 examples clean
 
 all: build lint test
 
 # The default verification path: compile (native and cross), lint, full tests.
 check: build crossbuild lint test
 
+# The benchmark harness is its own module (perfbench/, replace => ../), so
+# the root ./... pattern skips it; compile and vet it too, so a facade change
+# that breaks the benchmark fails here. -o /dev/null keeps the single main
+# package from dropping a binary into the tree.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench build -o /dev/null ./...
+	$(GO) -C perfbench vet ./...
 
-# Cross-compile smoke: the io_uring and O_DIRECT backends are gated by build
-# tags (io_uring to linux/{amd64,arm64,riscv64}), and their stubs promise the
-# rest of the tree compiles unchanged everywhere else. darwin exercises the
-# !linux branch, linux/386 the unsupported-arch branch of the linux tags.
+# Cross-compile smoke: O_DIRECT and the writeback kick are gated by build tags
+# (the kick to linux/{amd64,arm64,riscv64}), and their stubs promise the rest
+# of the tree compiles unchanged everywhere else. darwin exercises the !linux
+# branches (direct_other.go, writeback_other.go), linux/386 the
+# unsupported-arch branch of writeback_other.go.
 crossbuild:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
@@ -38,8 +45,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The short suite under the race detector. The EM model is sequential, so
-# this guards the harness plumbing (tracer, disk registry, CLI paths).
+# The short suite under the race detector. The engine is concurrent — the
+# async pipeline's write worker and prefetch goroutines, the parallel sharded
+# engine's workers, and the two-goroutine in-memory run sort — so this guards
+# those alongside the harness plumbing (tracer, disk registry, CLI paths).
 race:
 	$(GO) test -race -short ./...
 
@@ -52,8 +61,9 @@ parity:
 	$(GO) test -race -count=1 -run 'WorkersParity|WorkersShard|WorkersOutput|ShardFault|EngineMatchesSequential' . ./internal/empar
 
 # The fault matrix under the race detector: injected transient/permanent
-# faults and bit-flip corruption across {mem, file, file+pipeline}, retry
-# on/off, plus the per-algorithm fault sweep and its goroutine-leak checks.
+# faults and bit-flip corruption across {mem, file, file+pipeline,
+# file+direct, file+direct+pipeline}, retry on/off, plus the per-algorithm
+# fault sweep and its goroutine-leak checks.
 fault:
 	$(GO) test -race -count=1 -run 'Fault|Resilien|Corrupt|Retry|Checksum|Backoff|Sticky' . ./internal ./internal/emio
 
@@ -96,14 +106,6 @@ bench-pr6:
 # BENCH_pr7.json.
 bench-pr7:
 	$(GO) run ./cmd/embench -suite pr7 > BENCH_pr7.json
-
-# Regenerate the io_uring backend A/B document: sort/partition/splitters over
-# the same deepened async pipeline, positioned syscalls vs batched io_uring
-# submission, with logical-I/O parity and output digests per row plus SQE
-# batch-size and queue-depth histograms. On hosts without io_uring the suite
-# emits the host record and no rows. JSON goes to BENCH_pr8.json.
-bench-pr8:
-	$(GO) run ./cmd/embench -suite pr8 > BENCH_pr8.json
 
 # Regenerate the checkpoint-journal overhead A/B document: file-backed sorts
 # with the journal off, on (default process-crash grade, no fsyncs), and on

@@ -28,7 +28,7 @@ func cancelMatrixModes() []struct {
 	backed bool
 	pipe   Pipeline
 } {
-	modes := []struct {
+	return []struct {
 		name   string
 		backed bool
 		pipe   Pipeline
@@ -37,14 +37,6 @@ func cancelMatrixModes() []struct {
 		{"file", true, Pipeline{}},
 		{"file-pipeline", true, Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}},
 	}
-	if emio.UringSupported() {
-		modes = append(modes, struct {
-			name   string
-			backed bool
-			pipe   Pipeline
-		}{"uring", true, Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4}})
-	}
-	return modes
 }
 
 type cancelAlgo struct {

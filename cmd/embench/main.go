@@ -8,20 +8,17 @@
 // Usage:
 //
 //	embench [-n 262144] [-m 4096] [-b 32] [-quick] [-json] [-trace]
-//	        [-backing DIR] [-prefetch K] [-writebehind Q] [-direct] [-uring]
-//	        [-suite pr3|pr5|pr6|pr7|pr8|pr10]
+//	        [-backing DIR] [-prefetch K] [-writebehind Q] [-direct]
+//	        [-suite pr3|pr5|pr6|pr7|pr10]
 //
 // With -backing the simulated disk lives in a real file under DIR and every
 // row gains wall-clock columns (ns/elem, MB/s). -prefetch and -writebehind
 // enable the asynchronous I/O pipeline for A/B runs; they change physical
 // scheduling only, never the logical I/O counts. -direct bypasses the page
-// cache and -uring submits physical transfers through a batched io_uring
-// (Linux; silently degrades where unsupported). -suite pr3 runs the
-// checked-in wall-clock A/B suite (sort/partition/splitters at three scales,
-// pipeline on vs off) and emits the BENCH_pr3.json document; -suite pr8 is
-// the io_uring A/B counterpart emitting BENCH_pr8.json; -suite pr10 prices
-// the crash-safe checkpoint journal (plain vs journaled sort) and emits
-// BENCH_pr10.json. SIGINT/SIGTERM cancels the measurement in flight and
+// cache. -suite pr3 runs the checked-in wall-clock A/B suite
+// (sort/partition/splitters at three scales, pipeline on vs off) and emits
+// the BENCH_pr3.json document; -suite pr10 prices the crash-safe checkpoint
+// journal (plain vs journaled sort) and emits BENCH_pr10.json. SIGINT/SIGTERM cancels the measurement in flight and
 // exits nonzero; a second signal exits immediately.
 package main
 
@@ -64,8 +61,7 @@ var (
 	flagPre     = flag.Int("prefetch", 0, "read-ahead depth in blocks; >0 enables the async pipeline (file-backed only)")
 	flagWB      = flag.Int("writebehind", 0, "write-behind queue depth in blocks; >0 enables the async pipeline (file-backed only)")
 	flagDirect  = flag.Bool("direct", false, "open backing files with O_DIRECT, bypassing the page cache (file-backed only)")
-	flagUring   = flag.Bool("uring", false, "submit physical I/O through a batched io_uring instead of positioned syscalls (file-backed Linux only; silently degrades where unsupported)")
-	flagSuite   = flag.String("suite", "", "named suite: 'pr3' (pipeline A/B), 'pr5' (checksum A/B), 'pr6' (telemetry A/B), 'pr7' (parallel-engine speedup curve), 'pr8' (io_uring backend A/B) or 'pr10' (checkpoint-journal overhead A/B); emits the suite JSON and exits")
+	flagSuite   = flag.String("suite", "", "named suite: 'pr3' (pipeline A/B), 'pr5' (checksum A/B), 'pr6' (telemetry A/B), 'pr7' (parallel-engine speedup curve) or 'pr10' (checkpoint-journal overhead A/B); emits the suite JSON and exits")
 	flagSum     = flag.Bool("checksum", false, "CRC32C-checksum every stored block and fail on corruption at read time")
 	flagRetry   = flag.Int("retry", 0, "retry transient backing-I/O faults up to this many attempts (0 or 1 = off)")
 	flagCompare = flag.String("compare", "", "baseline BENCH_pr3.json or BENCH_pr7.json: rerun that suite, diff against it, and exit nonzero on any logical-I/O or >20% wall-clock regression")
@@ -171,7 +167,7 @@ type row struct {
 // pipelineFromFlags assembles the Pipeline knobs for A/B runs: any positive
 // depth enables the pipeline.
 func pipelineFromFlags() empart.Pipeline {
-	p := empart.Pipeline{PrefetchDepth: *flagPre, QueueDepth: *flagWB, Direct: *flagDirect, Uring: *flagUring}
+	p := empart.Pipeline{PrefetchDepth: *flagPre, QueueDepth: *flagWB, Direct: *flagDirect}
 	p.Enabled = *flagPre > 0 || *flagWB > 0
 	return p
 }
@@ -275,18 +271,13 @@ func main() {
 			log.Fatal(err)
 		}
 		return
-	case "pr8":
-		if err := runPR8(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
 	case "pr10":
 		if err := runPR10(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return
 	default:
-		log.Fatalf("unknown suite %q (supported: pr3, pr5, pr6, pr7, pr8, pr10)", *flagSuite)
+		log.Fatalf("unknown suite %q (supported: pr3, pr5, pr6, pr7, pr10)", *flagSuite)
 	}
 	if *flagQuick {
 		*flagN = 1 << 15
@@ -832,7 +823,6 @@ type pr3Doc struct {
 		GOARCH     string `json:"goarch"`
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		DirectIO   bool   `json:"directIO"`
-		Uring      bool   `json:"uring"`
 	} `json:"host"`
 	Rows []pr3Row `json:"rows"`
 }
@@ -971,7 +961,6 @@ func runPR3Doc() (pr3Doc, error) {
 	doc.Config.Reps = reps
 	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
 	doc.Host.DirectIO = emio.DirectIOSupported(dir)
-	doc.Host.Uring = emio.UringSupported()
 
 	abPair := func(b bench, n int64, direct bool) error {
 		off, err := observe(b, n, false, direct)
@@ -1468,7 +1457,6 @@ type pr7Doc struct {
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		NumCPU     int    `json:"numCPU"`
 		DirectIO   bool   `json:"directIO"`
-		Uring      bool   `json:"uring"`
 	} `json:"host"`
 	Rows []pr7Row `json:"rows"`
 }
@@ -1575,7 +1563,6 @@ func runPR7Doc() (pr7Doc, error) {
 	doc.Host.GOOS, doc.Host.GOARCH = runtime.GOOS, runtime.GOARCH
 	doc.Host.GOMAXPROCS, doc.Host.NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
 	doc.Host.DirectIO = emio.DirectIOSupported(dir)
-	doc.Host.Uring = emio.UringSupported()
 
 	seq := 0
 	observe := func(b bench, n int64, direct bool, workers, nreps int) (pr7Row, uint64, error) {
@@ -1686,261 +1673,6 @@ func runPR7Doc() (pr7Doc, error) {
 			doc.Rows = append(doc.Rows, r)
 			fmt.Fprintf(os.Stderr, "pr7: %-8s %-9s n=%-8d w=%-2d %8.2fms  speedup %.2fx  ioMatch=%v  outMatch=%v  shards=%d balance=%.2f\n",
 				mode, sp.bench.name, sp.n, w, float64(r.WallNS)/1e6, r.Speedup, r.IOMatch || i == 0, r.OutputMatch, r.Shards, r.Balance)
-		}
-	}
-	return doc, nil
-}
-
-// --- suite pr8: io_uring physical backend A/B -------------------------------
-//
-// PR 8's acceptance suite. Sort, partition and splitters run on pipelined
-// file-backed disks at the pr3 scales, positioned read/write syscalls vs
-// batched io_uring submission at queue depth 64, over O_DIRECT when the host
-// supports it (the EM cost regime the pr3 baseline rows were measured in;
-// buffered otherwise, with a visible note). Logical I/O counters and the
-// output key digest must match across the backend swap on every row; each
-// row also publishes physical IOPS and latency-histogram summaries, and the
-// uring rows the ring's SQE-batch and queue-depth telemetry, all from a
-// private per-run metrics registry.
-
-// pr8UringDepth is the ring size the suite measures at; the acceptance
-// criterion asks for queue depth >= 32.
-const pr8UringDepth = 64
-
-// pr8Hist is a latency/size histogram summary published in BENCH_pr8.json.
-// Quantiles are upper-bound-biased bucket ceilings (see metrics.Histogram).
-type pr8Hist struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   int64   `json:"p50"`
-	P95   int64   `json:"p95"`
-	P99   int64   `json:"p99"`
-	Max   int64   `json:"max"`
-}
-
-func pr8Summary(s metrics.HistogramSnapshot) pr8Hist {
-	return pr8Hist{Count: s.Count, Mean: s.Mean(), P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
-}
-
-type pr8Row struct {
-	Bench      string  `json:"bench"`
-	N          int64   `json:"n"`
-	Direct     bool    `json:"direct"`
-	Uring      bool    `json:"uring"`
-	Reads      int64   `json:"reads"`
-	Writes     int64   `json:"writes"`
-	IOs        int64   `json:"ios"`
-	PhysReads  int64   `json:"physReads"`
-	PhysWrites int64   `json:"physWrites"`
-	WallNS     int64   `json:"wallNs"`
-	NsPerElem  float64 `json:"nsPerElem"`
-	MBps       float64 `json:"mbps"`
-	IOPS       float64 `json:"iops"` // physical transfers per wall-clock second
-	ReadNS     pr8Hist `json:"readNs"`
-	WriteNS    pr8Hist `json:"writeNs"`
-	// Uring rows only: ring submission telemetry.
-	SQEBatch   *pr8Hist `json:"sqeBatch,omitempty"`
-	QueueDepth *pr8Hist `json:"queueDepth,omitempty"`
-	// Uring rows: wall(syscall)/wall(uring) against the matching baseline
-	// row. Every row must report ioMatch and outputMatch true (baseline rows
-	// match themselves by definition).
-	Speedup     float64 `json:"speedup,omitempty"`
-	IOMatch     bool    `json:"ioMatch"`
-	OutputMatch bool    `json:"outputMatch"`
-}
-
-type pr8Doc struct {
-	Suite  string `json:"suite"`
-	Config struct {
-		M             int `json:"m"`
-		B             int `json:"b"`
-		PrefetchDepth int `json:"prefetchDepth"`
-		QueueDepth    int `json:"queueDepth"`
-		UringDepth    int `json:"uringDepth"`
-		Reps          int `json:"reps"`
-	} `json:"config"`
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-		DirectIO   bool   `json:"directIO"`
-		Uring      bool   `json:"uring"`
-	} `json:"host"`
-	Rows []pr8Row `json:"rows"`
-}
-
-// runPR8 runs the io_uring suite and encodes the document to w.
-func runPR8(w io.Writer) error {
-	doc, err := runPR8Doc()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func runPR8Doc() (pr8Doc, error) {
-	var doc pr8Doc
-	dir, err := os.MkdirTemp("", "embench-pr8-")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := empart.Config{M: 1 << 12, B: 1 << 5}
-	// The pr3 direct sub-suite scales, so the uring rows diff directly
-	// against the committed BENCH_pr3.json O_DIRECT rows.
-	sizes := []int64{1 << 16, 1 << 17, 1 << 18}
-	reps := 3
-	if *flagQuick {
-		sizes = []int64{1 << 14, 1 << 15, 1 << 16}
-		reps = 2
-	}
-
-	doc.Suite = "pr8"
-	doc.Config.M, doc.Config.B = cfg.M, cfg.B
-	doc.Config.PrefetchDepth, doc.Config.QueueDepth = 32, 32
-	doc.Config.UringDepth, doc.Config.Reps = pr8UringDepth, reps
-	doc.Host.GOOS, doc.Host.GOARCH, doc.Host.GOMAXPROCS = runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)
-	doc.Host.DirectIO = emio.DirectIOSupported(dir)
-	doc.Host.Uring = emio.UringSupported()
-	if !doc.Host.Uring {
-		// A visible skip, never a silent pass: the document records the host
-		// could not exercise the ring and carries no rows.
-		fmt.Fprintln(os.Stderr, "pr8: io_uring unsupported on this kernel/platform; emitting host record only")
-		return doc, nil
-	}
-	direct := doc.Host.DirectIO
-	if !direct {
-		fmt.Fprintln(os.Stderr, "pr8: O_DIRECT unsupported here; measuring the uring A/B on buffered I/O")
-	}
-
-	type bench struct {
-		name string
-		run  func(sys *empart.System, f *empart.File, n int64) (*empart.File, error)
-	}
-	benches := []bench{
-		{"sort", func(sys *empart.System, f *empart.File, n int64) (*empart.File, error) {
-			return sys.Sort(f)
-		}},
-		{"partition", func(sys *empart.System, f *empart.File, n int64) (*empart.File, error) {
-			res, err := sys.Partition(f, empart.Params{K: 64, A: 0, B: n / 16})
-			if err != nil {
-				return nil, err
-			}
-			return res.Data, nil
-		}},
-		{"splitters", func(sys *empart.System, f *empart.File, n int64) (*empart.File, error) {
-			out, err := sys.Splitters(f, empart.Params{K: 64, A: 64, B: n})
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}},
-	}
-
-	seq := 0
-	observe := func(b bench, n int64, uring bool) (pr8Row, uint64, error) {
-		var best time.Duration
-		var stats, phys empart.Stats
-		var digest uint64
-		var snap metrics.Snapshot
-		for rep := 0; rep < reps; rep++ {
-			c := cfg
-			// Both sides run the same deepened pipeline: 32 blocks of
-			// read-ahead and write-behind give the ring real batches to
-			// submit, and give the syscall side the same coalescing chances.
-			c.Pipeline = empart.Pipeline{Enabled: true, PrefetchDepth: 32, QueueDepth: 32,
-				Direct: direct, Uring: uring, UringDepth: pr8UringDepth}
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("run-%d.dat", seq))
-			sys, err := empart.NewFileBacked(c, path)
-			if err != nil {
-				return pr8Row{}, 0, err
-			}
-			if uring && !sys.UringActive() {
-				sys.Close()
-				return pr8Row{}, 0, fmt.Errorf("pr8: ring failed to arm despite UringSupported")
-			}
-			reg := metrics.New()
-			sys.SetMetrics(reg)
-			f := sys.Stage(workload.Elems(workload.Uniform, int(n), cfg.B, 0x9428))
-			sys.ResetStats()
-			pre := sys.PhysStats()
-			start := time.Now()
-			out, runErr := b.run(sys, f, n)
-			wall := time.Since(start)
-			st := sys.Stats()
-			ph := sys.PhysStats().Sub(pre)
-			if runErr == nil && rep == 0 {
-				// Untimed, and after the snapshot-relevant counters are read:
-				// the digest proves output identity across the backend swap,
-				// it is not part of the measured work.
-				sm := reg.Snapshot()
-				digest = keyDigest(sys.Read(out))
-				snap = sm
-			}
-			sys.Close()
-			os.Remove(path)
-			if runErr != nil {
-				return pr8Row{}, 0, fmt.Errorf("%s n=%d uring=%v: %w", b.name, n, uring, runErr)
-			}
-			if rep == 0 {
-				stats, phys, best = st, ph, wall
-			} else {
-				if st != stats {
-					return pr8Row{}, 0, fmt.Errorf("%s n=%d uring=%v: I/O counts differ across reps: %v vs %v",
-						b.name, n, uring, st, stats)
-				}
-				if wall < best {
-					best = wall
-				}
-			}
-		}
-		r := pr8Row{
-			Bench: b.name, N: n, Direct: direct, Uring: uring,
-			Reads: stats.Reads, Writes: stats.Writes, IOs: stats.Total(),
-			PhysReads: phys.Reads, PhysWrites: phys.Writes,
-			ReadNS:  pr8Summary(snap.Histograms["empart_phys_read_ns"]),
-			WriteNS: pr8Summary(snap.Histograms["empart_phys_write_ns"]),
-		}
-		if best > 0 {
-			r.WallNS = best.Nanoseconds()
-			r.NsPerElem = float64(best.Nanoseconds()) / float64(n)
-			r.MBps = float64(r.IOs*int64(cfg.B)*16) / best.Seconds() / 1e6
-			r.IOPS = float64(phys.Total()) / best.Seconds()
-		}
-		if uring {
-			sb := pr8Summary(snap.Histograms["empart_uring_sqe_batch"])
-			qd := pr8Summary(snap.Histograms["empart_uring_queue_depth"])
-			r.SQEBatch, r.QueueDepth = &sb, &qd
-		}
-		return r, digest, nil
-	}
-
-	for _, b := range benches {
-		for _, n := range sizes {
-			off, offDigest, err := observe(b, n, false)
-			if err != nil {
-				return doc, err
-			}
-			off.IOMatch, off.OutputMatch = true, true
-			on, onDigest, err := observe(b, n, true)
-			if err != nil {
-				return doc, err
-			}
-			on.Speedup = float64(off.WallNS) / float64(on.WallNS)
-			on.IOMatch = off.Reads == on.Reads && off.Writes == on.Writes
-			on.OutputMatch = onDigest == offDigest
-			doc.Rows = append(doc.Rows, off, on)
-			mode := "buffered"
-			if direct {
-				mode = "direct"
-			}
-			fmt.Fprintf(os.Stderr, "pr8: %-8s %-9s n=%-8d syscall %8.2fms  uring %8.2fms  speedup %.2fx  ioMatch=%v outMatch=%v  batch p50=%d qd p95=%d\n",
-				mode, b.name, n, float64(off.WallNS)/1e6, float64(on.WallNS)/1e6, on.Speedup, on.IOMatch, on.OutputMatch,
-				on.SQEBatch.P50, on.QueueDepth.P95)
 		}
 	}
 	return doc, nil

@@ -59,7 +59,6 @@ var (
 	flagIn       = flag.String("in", "", "input file of integers (default stdin)")
 	flagOut      = flag.String("out", "", "output file (default stdout)")
 	flagBacking  = flag.String("backing", "", "path for a real backing file for the simulated disk (default: in-memory)")
-	flagUring    = flag.Bool("uring", false, "submit physical I/O through a batched io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	flagTrace    = flag.Bool("trace", false, "print a phase trace (span tree with I/O attribution) to the report stream")
 	flagMetrics  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this host:port while the job runs")
 	flagProg     = flag.Duration("progress", 0, "print a progress/ETA line to the report stream at this interval (0 = off)")
@@ -101,7 +100,6 @@ func trapSignals() {
 type runOpts struct {
 	cfg         empart.Config
 	backing     string
-	uring       bool
 	trace       bool
 	metricsAddr string
 	progress    time.Duration
@@ -152,7 +150,6 @@ func main() {
 			Log:        empart.LogConfig{Level: slog.LevelDebug, Path: *flagLog},
 			DiskBudget: *flagBudget,
 		},
-		uring:       *flagUring,
 		backing:     *flagBacking,
 		trace:       *flagTrace,
 		metricsAddr: *flagMetrics,
@@ -300,10 +297,6 @@ func writeOTLP(sys *empart.System, prefix string) error {
 // an I/O report (plus a phase trace when requested) to report. With a
 // journal configured it routes through the crash-safe job layer instead.
 func run(o runOpts, in io.Reader, dst, report io.Writer) error {
-	if o.uring {
-		o.cfg.Pipeline.Enabled = true
-		o.cfg.Pipeline.Uring = true
-	}
 	if o.journal != "" || o.resume {
 		return runJob(o, in, dst, report)
 	}
@@ -328,7 +321,7 @@ func run(o runOpts, in io.Reader, dst, report io.Writer) error {
 	}
 	liveSys.Store(sys)
 	defer liveSys.Store(nil)
-	reportBackend(sys, o, report)
+	reportBackend(o, report)
 	armCrash(sys, o)
 	sys.ResetStats()
 	if o.trace {
@@ -365,7 +358,7 @@ func runJob(o runOpts, in io.Reader, dst, report io.Writer) error {
 	sys := job.System()
 	liveSys.Store(sys)
 	defer liveSys.Store(nil)
-	reportBackend(sys, o, report)
+	reportBackend(o, report)
 	if o.resume {
 		runs, lastPass, done := job.Resumable()
 		fmt.Fprintf(report, "emsort: resuming from %s: %d completed run(s), last merge pass %d, done=%v\n",
@@ -390,23 +383,20 @@ func runJob(o runOpts, in io.Reader, dst, report io.Writer) error {
 	return emit(sys, o, n, out, dst, report)
 }
 
-// reportBackend prints the startup line recording which physical backends
-// the host could exercise and which one this run actually uses, so a saved
+// reportBackend prints the startup line recording whether the backing
+// filesystem accepts O_DIRECT and which backend this run uses, so a saved
 // report is self-describing (the bench JSONs carry the same host fields).
-func reportBackend(sys *empart.System, o runOpts, report io.Writer) {
+func reportBackend(o runOpts, report io.Writer) {
 	probeDir := os.TempDir()
 	if o.backing != "" {
 		probeDir = filepath.Dir(o.backing)
 	}
 	backend := "memory"
-	switch {
-	case o.backing != "" && sys.UringActive():
-		backend = "file+uring"
-	case o.backing != "":
+	if o.backing != "" {
 		backend = "file"
 	}
-	fmt.Fprintf(report, "emsort: host directIO=%v uring=%v  backend=%s\n",
-		empart.DirectIOSupported(probeDir), empart.UringSupported(), backend)
+	fmt.Fprintf(report, "emsort: host directIO=%v  backend=%s\n",
+		empart.DirectIOSupported(probeDir), backend)
 }
 
 // armCrash installs the crash-harness injector when -crash-after-write is

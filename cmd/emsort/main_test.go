@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,6 +44,27 @@ func TestRunFileBacked(t *testing.T) {
 	}
 	if out.String() != "1\n2\n" {
 		t.Errorf("output %q", out.String())
+	}
+}
+
+// TestRunHostLine pins the startup line: it records the host's O_DIRECT probe
+// and the backend the run uses, and nothing else.
+func TestRunHostLine(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		backing, probeDir, backend string
+	}{
+		{"", os.TempDir(), "memory"},
+		{filepath.Join(dir, "d.dat"), dir, "file"},
+	} {
+		var out, report bytes.Buffer
+		if err := run(opts(empart.Config{M: 64, B: 8}, tc.backing, false), strings.NewReader("2 1"), &out, &report); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("emsort: host directIO=%v  backend=%s", empart.DirectIOSupported(tc.probeDir), tc.backend)
+		if line, _, _ := strings.Cut(report.String(), "\n"); line != want {
+			t.Errorf("backing %q: host line %q, want %q", tc.backing, line, want)
+		}
 	}
 }
 

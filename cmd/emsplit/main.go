@@ -45,7 +45,6 @@ var (
 	flagA       = flag.Int64("a", 0, "lower size bound a")
 	flagBMax    = flag.Int64("bmax", 0, "upper size bound b (0 means N)")
 	flagBacking = flag.String("backing", "", "path for a real backing file for the simulated disk (default: in-memory)")
-	flagUring   = flag.Bool("uring", false, "submit physical I/O through a batched io_uring with the async pipeline (needs -backing; degrades silently to positioned syscalls where unsupported)")
 	flagDist    = flag.String("dist", "uniform", "input distribution")
 	flagSeed    = flag.Uint64("seed", 1, "workload seed")
 	flagLo      = flag.Float64("lo", 0, "histogram: relative slack below N/K")
@@ -88,7 +87,6 @@ type options struct {
 	m, b     int
 	workers  int
 	backing  string
-	uring    bool
 	k, a     int64
 	bmax     int64
 	dist     string
@@ -120,8 +118,7 @@ func main() {
 	trapSignals()
 	report, err := execute(options{
 		algo: *flagAlgo, n: *flagN, m: *flagM, b: *flagB, workers: *flagWorkers,
-		backing: *flagBacking, uring: *flagUring,
-		k: *flagK, a: *flagA, bmax: *flagBMax,
+		backing: *flagBacking, k: *flagK, a: *flagA, bmax: *flagBMax,
 		dist: *flagDist, seed: *flagSeed, lo: *flagLo, hi: *flagHi,
 		trace: *flagTrace, checksum: *flagSum, retry: *flagRetry,
 		logPath: *flagLog, otlp: *flagOTLP, top: *flagTop,
@@ -168,10 +165,6 @@ func execute(o options) (report string, err error) {
 		Log:        empart.LogConfig{Level: slog.LevelDebug, Path: o.logPath},
 		DiskBudget: o.budget,
 	}
-	if o.uring {
-		cfg.Pipeline.Enabled = true
-		cfg.Pipeline.Uring = true
-	}
 	var sys *empart.System
 	if o.backing != "" {
 		sys, err = empart.NewFileBacked(cfg, o.backing)
@@ -193,22 +186,19 @@ func execute(o options) (report string, err error) {
 			fmt.Fprintf(o.progressOut, "emsplit: cancelled; partial cost %v\n", sys.Stats())
 		}
 	}()
-	// The host line records which physical backends this machine could
-	// exercise and which one the run actually uses, so a saved report is
-	// self-describing (the bench JSONs carry the same host fields).
+	// The host line records whether the backing filesystem accepts O_DIRECT
+	// and which backend the run uses, so a saved report is self-describing
+	// (the bench JSONs carry the same host fields).
 	probeDir := os.TempDir()
 	if o.backing != "" {
 		probeDir = filepath.Dir(o.backing)
 	}
 	backend := "memory"
-	switch {
-	case o.backing != "" && sys.UringActive():
-		backend = "file+uring"
-	case o.backing != "":
+	if o.backing != "" {
 		backend = "file"
 	}
-	fmt.Fprintf(&sb, "host: directIO=%v uring=%v  backend=%s\n",
-		empart.DirectIOSupported(probeDir), empart.UringSupported(), backend)
+	fmt.Fprintf(&sb, "host: directIO=%v  backend=%s\n",
+		empart.DirectIOSupported(probeDir), backend)
 	kind, err := workload.KindByName(o.dist)
 	if err != nil {
 		return "", err

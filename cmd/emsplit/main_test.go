@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
-	"time"
-
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	empart "repro"
 )
 
 func base() options {
@@ -48,6 +52,29 @@ func TestExecuteHistogram(t *testing.T) {
 	}
 	if !strings.Contains(report, "8 buckets") {
 		t.Errorf("report: %q", report)
+	}
+}
+
+// TestExecuteHostLine pins the report's host line: it records the host's
+// O_DIRECT probe and the backend the run uses, and nothing else.
+func TestExecuteHostLine(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		backing, probeDir, backend string
+	}{
+		{"", os.TempDir(), "memory"},
+		{filepath.Join(dir, "d.dat"), dir, "file"},
+	} {
+		o := base()
+		o.backing = tc.backing
+		report, err := execute(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("host: directIO=%v  backend=%s", empart.DirectIOSupported(tc.probeDir), tc.backend)
+		if line, _, _ := strings.Cut(report, "\n"); line != want {
+			t.Errorf("backing %q: host line %q, want %q", tc.backing, line, want)
+		}
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 
 // cannedMetrics is a frozen /metrics payload in the exact shape
 // Registry.WritePrometheus emits: counters, an info gauge, and a histogram
-// with companion quantile gauges — including the io_uring submission-time
-// queue-depth histogram the dashboard renders with plain-number quantiles.
+// with companion quantile gauges.
 const cannedMetrics = `# TYPE empart_phase gauge
 empart_phase{phase="merge"} 1
 # TYPE empart_phase_depth gauge
@@ -40,21 +39,6 @@ empart_phys_read_ns_p95 2047
 empart_phys_read_ns_p99 2047
 # TYPE empart_phys_read_ns_max gauge
 empart_phys_read_ns_max 2047
-# TYPE empart_uring_queue_depth histogram
-empart_uring_queue_depth_bucket{le="1"} 3
-empart_uring_queue_depth_bucket{le="3"} 9
-empart_uring_queue_depth_bucket{le="7"} 12
-empart_uring_queue_depth_bucket{le="+Inf"} 12
-empart_uring_queue_depth_sum 40
-empart_uring_queue_depth_count 12
-# TYPE empart_uring_queue_depth_p50 gauge
-empart_uring_queue_depth_p50 3
-# TYPE empart_uring_queue_depth_p95 gauge
-empart_uring_queue_depth_p95 7
-# TYPE empart_uring_queue_depth_p99 gauge
-empart_uring_queue_depth_p99 7
-# TYPE empart_uring_queue_depth_max gauge
-empart_uring_queue_depth_max 6
 `
 
 // TestRunOnce drives the -once path end to end — HTTP scrape, exposition
@@ -74,18 +58,11 @@ func TestRunOnce(t *testing.T) {
 		"phase: merge",
 		"reads=4.1k",
 		"phys_read",
-		"uring_queue_depth",
-		"p50=3",
-		"max=6",
+		"p50=1.5µs",
+		"max=2.0µs",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
-		}
-	}
-	// The uring row must render plain numbers, not nanosecond units.
-	for _, line := range strings.Split(frame, "\n") {
-		if strings.Contains(line, "uring_queue_depth") && strings.Contains(line, "ns") {
-			t.Errorf("uring histogram rendered with time units: %q", line)
 		}
 	}
 }

@@ -390,17 +390,12 @@ func (s *System) BackingBytes() int64 { return s.ctx.Disk().BackingBytes() }
 // logical counts are invariant, physical counts drop when it is on.
 func (s *System) PhysStats() Stats { return s.ctx.Disk().PhysStats() }
 
-// UringActive reports whether this system's backing store is issuing its
-// physical transfers through an armed io_uring (Pipeline.Uring requested and
-// the kernel probe passed). False for memory disks, non-Linux builds and
-// kernels without io_uring — on those the same Pipeline config degrades
-// silently to positioned read/write syscalls with no logical behavior change.
-func (s *System) UringActive() bool { return s.ctx.Disk().UringActive() }
-
-// UringSupported reports whether this kernel and platform can run the
-// io_uring physical backend (probed once per process, like the O_DIRECT
-// probe). When false, Pipeline.Uring is accepted but inert.
-func UringSupported() bool { return emio.UringSupported() }
+// UringSupported always reports false: file-backed disks issue every
+// physical transfer as a positioned read/write syscall.
+//
+// Deprecated: the io_uring backend has been removed; kept only so existing
+// callers still compile.
+func UringSupported() bool { return false }
 
 // DirectIOSupported reports whether files under dir accept O_DIRECT, by
 // probing once per call. When false, Pipeline.Direct is accepted but inert.

@@ -3,6 +3,7 @@ package empart
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -17,35 +18,23 @@ import (
 // the metrics registry, and (b) fail with a typed *TransientError when it is
 // not; and a flipped bit in any stored block must surface as a typed
 // *CorruptionError — never as silently wrong output — with the write-behind
-// pipeline on and off.
+// pipeline on and off, over buffered and (where the filesystem allows it)
+// O_DIRECT backing files.
 
-func faultMatrixModes() []struct {
+type faultMatrixMode struct {
 	name string
 	pipe Pipeline
-} {
-	modes := []struct {
-		name string
-		pipe Pipeline
-	}{
+}
+
+func faultMatrixModes() []faultMatrixMode {
+	modes := []faultMatrixMode{
 		{"sync", Pipeline{}},
 		{"pipeline", Pipeline{Enabled: true, PrefetchDepth: 4, QueueDepth: 4}},
 	}
-	if emio.UringSupported() {
-		// With an injector or retry policy armed the ring falls back to one
-		// submission per runPhys attempt, so scripted per-kind fault schedules
-		// keep their deterministic ordering; these rows prove the ring
-		// composes with the whole resilience layer (and that the completion
-		// reaper shuts down leak-free after induced failures, via the
-		// RequireNoGoroutineLeaks checks the matrix tests already carry).
+	if emio.DirectIOSupported(os.TempDir()) {
 		modes = append(modes,
-			struct {
-				name string
-				pipe Pipeline
-			}{"uring", Pipeline{Uring: true}},
-			struct {
-				name string
-				pipe Pipeline
-			}{"uring-pipeline", Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4}},
+			faultMatrixMode{"direct", Pipeline{Direct: true}},
+			faultMatrixMode{"direct-pipeline", Pipeline{Enabled: true, Direct: true, PrefetchDepth: 4, QueueDepth: 4}},
 		)
 	}
 	return modes

@@ -56,7 +56,10 @@ type Config struct {
 // contiguous blocks in one positioned read. The pipeline moves only physical
 // transfers off the algorithm goroutine: logical I/O accounting, fault-hook
 // firing and trace spans happen at enqueue time, so Stats and outputs are
-// bit-identical with the pipeline on or off.
+// bit-identical with the pipeline on or off. Every physical transfer, with
+// the pipeline on or off, is one positioned read or write syscall on the
+// backing file; the pipeline changes only which goroutine issues it.
+//
 // Direct is independent of Enabled: it opens the backing file with O_DIRECT
 // (on platforms that support it), bypassing the OS page cache so every
 // physical transfer pays real device latency — the cost regime the EM model
@@ -66,38 +69,17 @@ type Config struct {
 // lengths and buffers; the store pads partial blocks to honor this, which can
 // grow the backing file's byte footprint (never the logical I/O counts).
 // Use DirectIOSupported to probe the filesystem first.
-//
-// Uring routes physical transfers through a Linux io_uring: SQEs are batched
-// and submitted with one io_uring_enter per batch instead of one blocking
-// pread/pwrite syscall per transfer, with the store's pooled buffers
-// registered as fixed buffers. There is no completion goroutine: whichever
-// goroutine waits on the ring drains the completion queue itself and
-// dispatches every completion it finds (see uring_linux.go). Like Direct it is independent of Enabled and composes
-// with it (an O_DIRECT backing driven through the ring is the
-// closest-to-device configuration), and like Direct it degrades silently —
-// to the syscall paths — where UringSupported reports false. UringDepth is
-// the submission-queue depth (the kernel rounds it up to a power of two) and
-// bounds in-flight transfers; SQPoll additionally asks for kernel
-// submission-queue polling, falling back to a plain ring where unavailable.
-// The ring changes only how raw transfers reach the device: logical I/O
-// accounting, checksums, retry, fault injection and tracing wrap its
-// completions exactly as they wrap syscall returns, so outputs, Stats and
-// trace JSON are bit-identical across {buffered, direct, uring}.
 type Pipeline struct {
 	Enabled       bool
 	PrefetchDepth int  // blocks of sequential read-ahead; 0 means DefaultPrefetchDepth
 	QueueDepth    int  // write-behind queue depth in blocks; 0 means DefaultQueueDepth
 	Direct        bool // open the backing file with O_DIRECT (see above)
-	Uring         bool // submit physical transfers through an io_uring (see above)
-	UringDepth    int  // io_uring submission-queue depth; 0 means DefaultUringDepth
-	SQPoll        bool // io_uring kernel submission-queue polling (implies Uring)
 }
 
 // Default pipeline depths, used when a depth knob is left at zero.
 const (
 	DefaultPrefetchDepth = 8
 	DefaultQueueDepth    = 16
-	DefaultUringDepth    = 64
 )
 
 // withDefaults fills zero depth knobs with the package defaults.
@@ -107,12 +89,6 @@ func (p Pipeline) withDefaults() Pipeline {
 	}
 	if p.QueueDepth == 0 {
 		p.QueueDepth = DefaultQueueDepth
-	}
-	if p.UringDepth == 0 {
-		p.UringDepth = DefaultUringDepth
-	}
-	if p.SQPoll {
-		p.Uring = true
 	}
 	return p
 }
@@ -124,9 +100,6 @@ func (p Pipeline) validate() error {
 	}
 	if p.QueueDepth < 0 {
 		return fmt.Errorf("%w: write-behind queue depth %d < 0", ErrBadConfig, p.QueueDepth)
-	}
-	if p.UringDepth < 0 {
-		return fmt.Errorf("%w: io_uring queue depth %d < 0", ErrBadConfig, p.UringDepth)
 	}
 	return nil
 }

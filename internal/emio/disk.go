@@ -183,20 +183,6 @@ func (d *Disk) PhysStats() Stats {
 	return Stats{}
 }
 
-// uringStore is the optional store capability behind Disk.UringActive.
-type uringStore interface{ uringActive() bool }
-
-// UringActive reports whether the disk's physical transfers are going through
-// an io_uring: Pipeline.Uring was requested, the kernel passed the
-// UringSupported probe, and ring setup succeeded. False for memory-backed
-// disks and wherever the knob silently degraded to the syscall paths.
-func (d *Disk) UringActive() bool {
-	if s, ok := d.store.(uringStore); ok {
-		return s.uringActive()
-	}
-	return false
-}
-
 // EnableMetrics attaches live telemetry instruments registered on reg to
 // the disk's hot paths: logical and physical transfer counters, latency
 // histograms, queue-depth and footprint gauges, prefetch and extent-reuse

@@ -26,25 +26,29 @@ func seqElems(n int) []Elem {
 
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
-		m, b int
-		ok   bool
+		cfg Config
+		ok  bool
 	}{
-		{2, 1, true},
-		{8, 4, true},
-		{1024, 32, true},
-		{0, 0, false},
-		{4, 0, false},
-		{3, 2, false},  // M < 2B
-		{7, 4, false},  // M < 2B
-		{8, -1, false}, // negative B
+		{Config{M: 2, B: 1}, true},
+		{Config{M: 8, B: 4}, true},
+		{Config{M: 1024, B: 32}, true},
+		{Config{M: 0, B: 0}, false},
+		{Config{M: 4, B: 0}, false},
+		{Config{M: 3, B: 2}, false},  // M < 2B
+		{Config{M: 7, B: 4}, false},  // M < 2B
+		{Config{M: 8, B: -1}, false}, // negative B
+		{Config{M: 64, B: 8, Workers: -1}, false},
+		{Config{M: 64, B: 8, DiskBudget: -1}, false},
+		{Config{M: 64, B: 8, Pipeline: Pipeline{PrefetchDepth: -1}}, false},
+		{Config{M: 64, B: 8, Pipeline: Pipeline{QueueDepth: -2}}, false},
 	}
 	for _, c := range cases {
-		err := Config{M: c.m, B: c.b}.Validate()
+		err := c.cfg.Validate()
 		if (err == nil) != c.ok {
-			t.Errorf("Validate(M=%d,B=%d) = %v, want ok=%v", c.m, c.b, err, c.ok)
+			t.Errorf("Validate(%+v) = %v, want ok=%v", c.cfg, err, c.ok)
 		}
 		if err != nil && !errors.Is(err, ErrBadConfig) {
-			t.Errorf("Validate(M=%d,B=%d) error %v not wrapped in ErrBadConfig", c.m, c.b, err)
+			t.Errorf("Validate(%+v) error %v not wrapped in ErrBadConfig", c.cfg, err)
 		}
 	}
 }

@@ -149,11 +149,6 @@ type storeMetrics struct {
 	writeRunBlocks *metrics.HistogramHandle // blocks per coalesced positioned write
 	readRunBlocks  *metrics.HistogramHandle // blocks per coalesced prefetch read
 
-	// io_uring backend instruments, recorded at submission time (zero-valued
-	// histograms when the ring is not armed).
-	uringSQEBatch *metrics.HistogramHandle // SQEs handed to the kernel per enter
-	uringInflight *metrics.HistogramHandle // submissions in flight at enter time
-
 	prefetchHits   *metrics.CounterHandle
 	prefetchMisses *metrics.CounterHandle
 	extentReuses   *metrics.CounterHandle
@@ -190,10 +185,6 @@ func newStoreMetrics(m *IOMetrics) *storeMetrics {
 			"logical blocks retired per coalesced positioned write", "blocks").Handle(),
 		readRunBlocks: reg.Histogram("empart_phys_read_run_blocks",
 			"logical blocks fetched per coalesced prefetch read", "blocks").Handle(),
-		uringSQEBatch: reg.Histogram("empart_uring_sqe_batch",
-			"SQEs handed to the kernel per io_uring_enter", "sqes").Handle(),
-		uringInflight: reg.Histogram("empart_uring_queue_depth",
-			"ring submissions in flight at enter time", "sqes").Handle(),
 		prefetchHits: reg.Counter("empart_prefetch_hits_total",
 			"sequential reads served from a read-ahead staging buffer").Handle(),
 		prefetchMisses: reg.Counter("empart_prefetch_misses_total",

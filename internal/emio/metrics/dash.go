@@ -74,14 +74,6 @@ var dashHistograms = []string{
 	"empart_io_retry_backoff_ns",
 }
 
-// dashCountHistograms are the dimensionless histograms (io_uring SQE batch
-// sizes and submission-time queue occupancy) rendered with plain-number
-// quantiles instead of time units, in display order.
-var dashCountHistograms = []string{
-	"empart_uring_sqe_batch",
-	"empart_uring_queue_depth",
-}
-
 // RenderDashboard renders one dashboard frame from a registry snapshot.
 // width clamps line length (0 means no clamp). The frame is plain text with
 // trailing newline per line and no cursor control — callers own the screen.
@@ -127,19 +119,6 @@ func RenderDashboard(snap Snapshot, width int) string {
 		if h.MaxSeq != 0 {
 			line += fmt.Sprintf(" span#%d", h.MaxSeq)
 		}
-		if s := sparkline(h.Buckets); s != "" {
-			line += "  " + s
-		}
-		b.WriteString(line + "\n")
-	}
-	for _, name := range dashCountHistograms {
-		h, ok := snap.Histograms[name]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		label := strings.TrimPrefix(name, "empart_")
-		line := fmt.Sprintf("%-16s %8s p50=%-7d p95=%-7d p99=%-7d max=%-7d",
-			label, humanCount(h.Count), h.P50, h.P95, h.P99, h.Max)
 		if s := sparkline(h.Buckets); s != "" {
 			line += "  " + s
 		}

@@ -33,14 +33,8 @@ import (
 	"errors"
 	"log/slog"
 	"sync"
-	"syscall"
 	"time"
 )
-
-// errShortPrefetch marks a ring read-ahead window whose completion returned
-// fewer bytes than the window; the consumer drops the chain and re-reads the
-// block synchronously, so the short window degrades instead of failing.
-var errShortPrefetch = errors.New("emio: short prefetch completion")
 
 // batchOp locates one encoded block inside a writeBatch: nbytes of payload
 // bound for backing offset off on behalf of f. Ops are laid out back-to-back
@@ -75,11 +69,7 @@ type prefetchState struct {
 	buf         []byte
 	err         error
 	done        chan struct{}
-	// ring marks a window submitted to the io_uring backend: its done is
-	// closed by a completion callback, so waiters must drive the CQ
-	// (waitPrefetch) rather than just park on the channel.
-	ring bool
-	next *prefetchState
+	next        *prefetchState
 }
 
 func (ps *prefetchState) covers(i int) bool { return i >= ps.from && i < ps.from+ps.count }
@@ -138,23 +128,6 @@ func (s *fileStore) startAsync() {
 	}
 	a.cond = sync.NewCond(&a.mu)
 	s.async = a
-	if s.ring != nil {
-		// Pre-fill both pools so every buffer the pipeline will ever cycle
-		// exists up front and can be registered with the ring as a fixed
-		// buffer. The pools are sized to cover the maximum simultaneously
-		// circulating buffers, so getBatch/getStageBuf fall back to fresh
-		// (unregistered, plain-opcode) allocations only in corner cases.
-		for i := 0; i < cap(a.batchPool); i++ {
-			buf := alignedBytes(a.batchCap, s.direct)
-			s.regBufs = append(s.regBufs, buf)
-			a.batchPool <- &writeBatch{buf: buf[:0], ops: make([]batchOp, 0, s.pipe.QueueDepth)}
-		}
-		for i := 0; i < cap(a.stageBufs); i++ {
-			buf := alignedBytes(a.stageCap, s.direct)
-			s.regBufs = append(s.regBufs, buf)
-			a.stageBufs <- buf
-		}
-	}
 	go s.writeWorker()
 }
 
@@ -283,10 +256,6 @@ func (s *fileStore) writeWorker() {
 // batch is typically a single large write instead of QueueDepth small ones;
 // free-list seams split it into a few runs at worst.
 func (s *fileStore) flushBatch(b *writeBatch) {
-	if s.ring != nil && s.faultLayerIdle() {
-		s.flushBatchUring(b)
-		return
-	}
 	pos := 0
 	for start := 0; start < len(b.ops); {
 		end := start + 1
@@ -302,114 +271,6 @@ func (s *fileStore) flushBatch(b *writeBatch) {
 		s.completeOps(b.ops[start:end], err)
 		pos += nb
 		start = end
-	}
-}
-
-// faultLayerIdle reports that no injector, retry policy or test fault hook is
-// armed. The batched ring submission below is only taken then: scripted fault
-// schedules are keyed by per-kind physical-op index, and runPhys must see one
-// attempt call per transfer in a deterministic order, which the sequential
-// per-run path guarantees and a multi-run async batch would not. With the
-// fault layer armed, runs still reach the device through the ring — one
-// submission per attempt inside runPhys — so fault/retry semantics wrap ring
-// completions exactly as they wrap syscall returns.
-func (s *fileStore) faultLayerIdle() bool {
-	if s.async != nil && s.async.testWriteErr != nil {
-		return false
-	}
-	d := s.disk
-	return d == nil || (d.Injector() == nil && d.retry == nil)
-}
-
-// flushBatchUring retires one batch through the ring: every coalesced run is
-// prepped as one SQE and the whole set is handed to the kernel with a single
-// io_uring_enter, then completions are collected in submission order. Runs
-// are windowed by the ring's slot count so a batch wider than the SQ cannot
-// deadlock on slot acquisition.
-func (s *fileStore) flushBatchUring(b *writeBatch) {
-	type runSpan struct {
-		start, end int // b.ops[start:end]
-		buf        []byte
-		off        int64
-	}
-	var runs []runSpan
-	pos := 0
-	for start := 0; start < len(b.ops); {
-		end := start + 1
-		nb := b.ops[start].nbytes
-		for end < len(b.ops) && b.ops[end].off == b.ops[start].off+int64(nb) {
-			nb += b.ops[end].nbytes
-			end++
-		}
-		runs = append(runs, runSpan{start: start, end: end, buf: b.buf[pos : pos+nb], off: b.ops[start].off})
-		pos += nb
-		start = end
-	}
-	r := s.ring
-	reqs := make([]uringReq, 0, len(runs))
-	for lo := 0; lo < len(runs); {
-		// Acquire up to a window of slots, submit the window with one enter,
-		// then collect its completions in order.
-		reqs = reqs[:0]
-		hi := lo
-		for hi < len(runs) {
-			var slot uint32
-			var ok bool
-			if hi == lo {
-				slot, ok = r.acquire()
-			} else {
-				slot, ok = r.tryAcquire()
-			}
-			if !ok {
-				break
-			}
-			reqs = append(reqs, uringReq{op: opWrite, buf: runs[hi].buf, off: runs[hi].off, slot: slot})
-			hi++
-		}
-		if len(reqs) == 0 {
-			// Ring died; fail the remaining ops through the usual completion
-			// plumbing so pending counts and sticky errors stay consistent.
-			for _, rn := range runs[lo:] {
-				s.completeOps(b.ops[rn.start:rn.end], syscall.EIO)
-			}
-			return
-		}
-		submitErr := r.submit(reqs)
-		if submitErr != nil {
-			// The SQEs may sit unconsumed in the dead ring; the slots must
-			// never be reused.
-			for range reqs {
-				r.retire()
-			}
-		}
-		sm := s.sm.Load()
-		// Completions are collected in submission order; time each run as the
-		// delta since the previous one was collected so the histogram stays
-		// comparable to the syscall path, which times every write on its own.
-		t0 := time.Now()
-		for i, req := range reqs {
-			rn := runs[lo+i]
-			var err error
-			if submitErr != nil {
-				err = submitErr
-			} else {
-				res := r.wait(req.slot)
-				r.release(req.slot)
-				err = r.finishRW(opWrite, res, req.buf, req.off)
-			}
-			s.physW.Add(1)
-			if sm != nil {
-				sm.physWrites.Inc()
-				now := time.Now()
-				sm.physWriteNS.ObserveEx(int64(now.Sub(t0)), sm.seq.Load())
-				t0 = now
-				if err == nil {
-					sm.writeRunBlocks.Observe(int64(rn.end - rn.start))
-				}
-			}
-			s.completeOps(b.ops[rn.start:rn.end], err)
-		}
-		lo += len(reqs)
 	}
 }
 
@@ -528,7 +389,7 @@ func (s *fileStore) pipelineRead(f *File, i int, dst []Elem, ahead int) (int, er
 			break
 		}
 		if i >= ps.from+ps.count && ps.next != nil {
-			s.waitPrefetch(ps)
+			<-ps.done
 			s.putStageBuf(ps.buf)
 			a.pf[f] = ps.next
 			continue
@@ -537,7 +398,7 @@ func (s *fileStore) pipelineRead(f *File, i int, dst []Elem, ahead int) (int, er
 		break
 	}
 	if ps := a.pf[f]; ps != nil && ps.covers(i) {
-		s.waitPrefetch(ps)
+		<-ps.done
 		if ps.err == nil {
 			if sm := s.sm.Load(); sm != nil {
 				sm.prefetchHits.Inc()
@@ -588,18 +449,6 @@ func (s *fileStore) pipelineRead(f *File, i int, dst []Elem, ahead int) (int, er
 	return len(dst), nil
 }
 
-// waitPrefetch blocks until ps's window has completed. Ring-driven windows
-// are finished by whoever drains their CQE; with no standing reaper that
-// must be the waiter itself, so it drives the completion queue while it
-// waits. Goroutine-read windows just park on the done channel.
-func (s *fileStore) waitPrefetch(ps *prefetchState) {
-	if ps.ring {
-		s.ring.waitDone(ps.done)
-		return
-	}
-	<-ps.done
-}
-
 // startPrefetch begins an asynchronous coalesced read of up to maxBlocks
 // contiguous blocks of f starting at block from, returning nil when there is
 // nothing (contiguous) to prefetch. All file metadata is captured before the
@@ -635,46 +484,6 @@ func (s *fileStore) startPrefetch(f *File, from, maxBlocks int) *prefetchState {
 		buf:      s.getStageBuf(),
 		done:     make(chan struct{}),
 	}
-	if r := s.ring; r != nil && s.faultLayerIdle() {
-		// Completion-driven read-ahead: one SQE now, finished by whichever
-		// goroutine drains its CQE — no goroutine per window. A short or
-		// failed completion just records ps.err; pipelineRead then drops the
-		// chain and re-reads the block synchronously (through the ring, and
-		// through runPhys if the fault layer armed itself in the meantime).
-		ps.ring = true
-		s.physR.Add(1)
-		sm := s.sm.Load()
-		var t0 time.Time
-		if sm != nil {
-			t0 = time.Now()
-		}
-		err := r.submitCallback(opRead, ps.buf[:ps.nbytes], ps.startOff, func(res int32) {
-			var err error
-			if res >= 0 && int(res) != ps.nbytes {
-				err = errShortPrefetch
-			} else if res < 0 {
-				err = syscall.Errno(-res)
-			}
-			if sm != nil {
-				sm.prefReads.Inc()
-				sm.prefReadNS.ObserveEx(int64(time.Since(t0)), sm.seq.Load())
-				if err == nil {
-					sm.readRunBlocks.Observe(int64(ps.count))
-				}
-			}
-			ps.err = err
-			close(ps.done)
-		})
-		if err == nil {
-			return ps
-		}
-		// Submission failed (cb will not run): complete the window as failed
-		// so the consumer falls back to a synchronous read.
-		ps.ring = false
-		ps.err = err
-		close(ps.done)
-		return ps
-	}
 	go func() {
 		s.physR.Add(1)
 		sm := s.sm.Load()
@@ -699,7 +508,7 @@ func (s *fileStore) startPrefetch(f *File, from, maxBlocks int) *prefetchState {
 // dropPrefetch waits out and recycles every window of f's read-ahead chain.
 func (s *fileStore) dropPrefetch(f *File) {
 	for ps := s.async.pf[f]; ps != nil; ps = ps.next {
-		s.waitPrefetch(ps)
+		<-ps.done
 		s.putStageBuf(ps.buf)
 	}
 	delete(s.async.pf, f)

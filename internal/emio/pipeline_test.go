@@ -479,7 +479,4 @@ func TestPipelineValidate(t *testing.T) {
 	if _, err := NewFileBackedDiskPipeline("x.dat", 8, Pipeline{Enabled: true, PrefetchDepth: -1}); err == nil {
 		t.Error("negative prefetch depth accepted")
 	}
-	if err := (Config{M: 64, B: 8, Pipeline: Pipeline{QueueDepth: -2}}).Validate(); err == nil {
-		t.Error("negative queue depth accepted by Config.Validate")
-	}
 }

@@ -240,12 +240,6 @@ type fileStore struct {
 	physW  atomic.Int64         // positioned writes issued (incl. the write worker)
 	pipe   Pipeline             // normalized pipeline configuration
 	async  *asyncState          // write-behind + prefetch machinery, nil when disabled
-	// ring is the io_uring physical backend, nil when Pipeline.Uring is off or
-	// unsupported; raw transfers then fall back to pread/pwrite syscalls. The
-	// ring sits strictly below the resilience layer: runPhys wraps ring
-	// completions exactly as it wraps syscall returns.
-	ring    *uring
-	regBufs [][]byte // pooled buffers registered with the ring as fixed buffers
 	// sm holds the physical-layer telemetry handles, nil when metrics are
 	// disabled. An atomic pointer because the write worker and prefetch
 	// goroutines read it while EnableMetrics may store it from the algorithm
@@ -278,32 +272,14 @@ func newFileStore(path string, blockSize int, pipe Pipeline, keep bool) (*fileSt
 		direct: direct,
 		free:   make(map[int]*extentQueue),
 	}
-	if norm := pipe.withDefaults(); norm.Uring && UringSupported() {
-		// Ring creation failure degrades silently to the syscall paths,
-		// mirroring how Pipeline.Direct degrades without O_DIRECT support.
-		if r, err := newUring(fd, norm.UringDepth, norm.SQPoll); err == nil {
-			s.ring = r
-			r.sm = &s.sm
-		}
-	}
 	s.scratch = alignedBytes(s.pad(blockSize*elemBytes), direct)
-	if s.ring != nil {
-		s.regBufs = append(s.regBufs, s.scratch)
-	}
 	if pipe.Enabled {
 		s.pipe = pipe.withDefaults()
 		s.bulk = true
 		s.startAsync()
 	}
-	if s.ring != nil {
-		s.ring.registerBuffers(s.regBufs)
-	}
 	return s, nil
 }
-
-// uringActive reports whether physical transfers go through an io_uring
-// (Disk.UringActive's store capability).
-func (s *fileStore) uringActive() bool { return s.ring != nil }
 
 // extentQueue is a FIFO of released extents of one byte length. Release
 // order matters: a released file frees an ascending contiguous run of
@@ -467,22 +443,15 @@ func (s *fileStore) readAtPhys(fname string, raw []byte, off int64) error {
 	return s.readAtPhysOn(s.disk, fname, raw, off)
 }
 
-// preadRaw issues one raw positioned read over the active physical backend:
-// the io_uring ring when armed, a plain pread syscall otherwise. Both paths
-// have whole-buffer semantics.
+// preadRaw issues one raw positioned read: a pread syscall with
+// whole-buffer semantics.
 func (s *fileStore) preadRaw(raw []byte, off int64) error {
-	if r := s.ring; r != nil {
-		return r.pread(raw, off)
-	}
 	_, err := s.fd.ReadAt(raw, off)
 	return err
 }
 
 // pwriteRaw is preadRaw for positioned writes.
 func (s *fileStore) pwriteRaw(raw []byte, off int64) error {
-	if r := s.ring; r != nil {
-		return r.pwrite(raw, off)
-	}
 	_, err := s.fd.WriteAt(raw, off)
 	return err
 }
@@ -683,16 +652,11 @@ func (s *fileStore) close() error {
 	}
 	s.closed = true
 	// Teardown failures are joined, never masked: an undelivered sticky
-	// write-behind error and a close failure of the ring or fd are distinct
+	// write-behind error and a close failure of the fd are distinct
 	// problems, and reporting the first must not swallow the others.
 	var err error
 	if s.async != nil {
 		err = s.stopAsync()
-	}
-	if s.ring != nil {
-		// After stopAsync no transfer is in flight; closing the ring joins the
-		// completion reaper before the backing fd goes away.
-		err = joinErr(err, s.ring.close())
 	}
 	err = joinErr(err, s.fd.Close())
 	s.closeErr = err

@@ -225,43 +225,6 @@ func TestPipelineParitySuite(t *testing.T) {
 			}{"file-direct-pipeline", mkDirect(Pipeline{Enabled: true, Direct: true, PrefetchDepth: 4, QueueDepth: 4})},
 		)
 	}
-	if emio.UringSupported() {
-		// The io_uring backend swaps blocking pread/pwrite for batched ring
-		// submissions; logical outputs, Stats and traces must not move,
-		// pipelined or not, SQPOLL or not.
-		mkUring := func(p Pipeline) func(t *testing.T) *System {
-			return func(t *testing.T) *System {
-				c := cfg
-				c.Pipeline = p
-				sys, err := NewFileBacked(c, filepath.Join(t.TempDir(), "u.dat"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sys.Close() })
-				return sys
-			}
-		}
-		backends = append(backends,
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring", mkUring(Pipeline{Uring: true})},
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring-pipeline", mkUring(Pipeline{Enabled: true, Uring: true, PrefetchDepth: 4, QueueDepth: 4})},
-			struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring-sqpoll", mkUring(Pipeline{Enabled: true, Uring: true, SQPoll: true, PrefetchDepth: 4, QueueDepth: 4})},
-		)
-		if emio.DirectIOSupported(t.TempDir()) {
-			backends = append(backends, struct {
-				name string
-				mk   func(t *testing.T) *System
-			}{"file-uring-direct", mkUring(Pipeline{Enabled: true, Uring: true, Direct: true, PrefetchDepth: 4, QueueDepth: 4})})
-		}
-	}
 	for _, d := range parityDrivers(n) {
 		t.Run(d.name, func(t *testing.T) {
 			base := runParity(t, d, backends[0].mk, elems)
