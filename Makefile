@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet lint test test-short race parity check fault crash bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr10 microbench table1 examples clean
+.PHONY: all build crossbuild vet lint test test-short race parity check fault crash fuzz-smoke bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr10 microbench table1 examples clean
 
 all: build lint test
 
@@ -114,6 +114,13 @@ bench-pr7:
 # percent. JSON goes to BENCH_pr10.json.
 bench-pr10:
 	$(GO) run ./cmd/embench -suite pr10 > BENCH_pr10.json
+
+# Fuzz smoke: each fuzz target runs for ten seconds against its seed corpus
+# plus fresh mutations. A failing input is written under the package's
+# testdata/fuzz/ and replays in every later `go test` run.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzParseKeys$$' -fuzztime=10s ./cmd/emsort
+	$(GO) test -run=NONE -fuzz='^FuzzClassify$$' -fuzztime=10s ./internal/approxsplit
 
 microbench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...

@@ -26,7 +26,6 @@ package approxsplit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/emio"
 	"repro/internal/extsort"
@@ -360,25 +359,26 @@ func countBuckets(ctx *emio.Ctx, f *emio.File, sp []emio.Elem) ([]int64, error) 
 		return nil, err
 	}
 	defer r.Close()
+	var bk [ChunkLen]int32
 	for {
-		e, ok := r.Next()
+		blk, ok := r.NextBlock()
 		if !ok {
 			break
 		}
-		sizes[BucketOf(sp, e)]++
+		for len(blk) > 0 {
+			c := blk[:min(len(blk), ChunkLen)]
+			Classify(sp, c, bk[:])
+			for _, j := range bk[:len(c)] {
+				sizes[j]++
+			}
+			blk = blk[len(c):]
+		}
 	}
 	if err := r.Err(); err != nil {
 		ctx.FreeInts(sizes)
 		return nil, err
 	}
 	return sizes, nil
-}
-
-// BucketOf returns the index in [0, len(sp)] of the bucket that e falls in:
-// bucket i is the interval (sp[i-1], sp[i]] in the total order. Binary
-// search; CPU only.
-func BucketOf(sp []emio.Elem, e emio.Elem) int {
-	return sort.Search(len(sp), func(i int) bool { return !emio.Less(sp[i], e) })
 }
 
 // FromSorted returns a file holding the K-1 exact equi-depth splitters of an

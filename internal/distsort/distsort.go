@@ -158,12 +158,20 @@ func scatter(ctx *emio.Ctx, chunk *emio.File, sp []emio.Elem) ([]*emio.File, err
 		cleanup()
 		return nil, err
 	}
+	var bk [approxsplit.ChunkLen]int32
 	for {
-		e, ok := r.Next()
+		blk, ok := r.NextBlock()
 		if !ok {
 			break
 		}
-		writers[approxsplit.BucketOf(sp, e)].Append(e)
+		for len(blk) > 0 {
+			c := blk[:min(len(blk), approxsplit.ChunkLen)]
+			approxsplit.Classify(sp, c, bk[:])
+			for i, e := range c {
+				writers[bk[i]].Append(e)
+			}
+			blk = blk[len(c):]
+		}
 	}
 	rerr := r.Err()
 	r.Close()

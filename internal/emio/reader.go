@@ -44,6 +44,24 @@ func (r *Reader) Next() (Elem, bool) {
 	return e, true
 }
 
+// NextBlock returns the unread rest of the current block, fetching the next
+// block first when the current one is used up, and advances the cursor past
+// it. The slice aliases the Reader's buffer and is valid until the next call
+// to Next, NextBlock or Close. Fetching goes through the same path as Next,
+// so I/O counts, read-ahead, Consume reclamation and sticky errors are those
+// of reading the same elements one at a time; Next and NextBlock may be
+// mixed. The second result is false on exhaustion, as for Next.
+func (r *Reader) NextBlock() ([]Elem, bool) {
+	if r.off >= r.fill {
+		if !r.fetch() {
+			return nil, false
+		}
+	}
+	blk := r.buf[r.off:r.fill]
+	r.off = r.fill
+	return blk, true
+}
+
 func (r *Reader) fetch() bool {
 	if r.err != nil || r.buf == nil {
 		return false

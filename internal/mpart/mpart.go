@@ -341,14 +341,22 @@ func scatter(ctx *emio.Ctx, chunk *emio.File, pivots []emio.Elem) ([]*emio.File,
 		cleanup()
 		return nil, nil, err
 	}
+	var bk [approxsplit.ChunkLen]int32
 	for {
-		e, ok := r.Next()
+		blk, ok := r.NextBlock()
 		if !ok {
 			break
 		}
-		j := approxsplit.BucketOf(pivots, e)
-		writers[j].Append(e)
-		counts[j]++
+		for len(blk) > 0 {
+			c := blk[:min(len(blk), approxsplit.ChunkLen)]
+			approxsplit.Classify(pivots, c, bk[:])
+			for i, e := range c {
+				j := bk[i]
+				writers[j].Append(e)
+				counts[j]++
+			}
+			blk = blk[len(c):]
+		}
 	}
 	rerr := r.Err()
 	r.Close()

@@ -277,19 +277,26 @@ func baseCase(ctx *emio.Ctx, chunk *emio.File, ranks []int64) ([]emio.Elem, erro
 		return nil, err
 	}
 	seq := int64(0)
+	var bk [approxsplit.ChunkLen]int32
 	for {
-		e, ok := r.Next()
+		blk, ok := r.NextBlock()
 		if !ok {
 			break
 		}
-		b := int64(approxsplit.BucketOf(res.Splitters, e))
-		// Queries are sorted by rank, hence by bucket: binary search the
-		// contiguous run of queries targeting bucket b.
-		lo := sort.Search(k, func(i int) bool { return qBucket[i] >= b })
-		for i := lo; i < k && qBucket[i] == b; i++ {
-			dw.Append(emio.Elem{Key: e.Key, Aux: emio.PackAux(int64(i), seq)})
+		for len(blk) > 0 {
+			c := blk[:min(len(blk), approxsplit.ChunkLen)]
+			approxsplit.Classify(res.Splitters, c, bk[:])
+			for i, e := range c {
+				b := int64(bk[i])
+				// Queries are sorted by rank, hence by bucket: binary
+				// search the contiguous run of queries targeting bucket b.
+				for q := approxsplit.LowerBoundInt64(qBucket, b); q < k && qBucket[q] == b; q++ {
+					dw.Append(emio.Elem{Key: e.Key, Aux: emio.PackAux(int64(q), seq)})
+				}
+				seq++
+			}
+			blk = blk[len(c):]
 		}
-		seq++
 	}
 	rerr := r.Err()
 	r.Close()
