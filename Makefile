@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet lint test test-short race parity check fault crash fuzz-smoke bench bench-compare bench-pr5 bench-pr6 bench-pr7 bench-pr10 microbench table1 examples clean
+.PHONY: all build crossbuild vet lint test test-short race parity check fault crash fuzz-smoke microbench table1 examples clean
 
 all: build lint test
 
@@ -30,13 +30,20 @@ crossbuild:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck when installed (the repo takes
-# no module dependencies, so the binary is opportunistic, not vendored).
+# Static analysis: gofmt over the tracked Go files and go vet always;
+# staticcheck when installed (the repo takes no module dependencies, so the
+# binary is opportunistic, not vendored).
 lint: vet
+	@unformatted=$$(git ls-files '*.go' | grep -v '^\.bench_build/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
-		echo "lint: staticcheck not installed; ran go vet only"; \
+		echo "lint: staticcheck not installed; ran gofmt and go vet only"; \
 	fi
 
 test:
@@ -75,45 +82,6 @@ fault:
 crash:
 	$(GO) test -count=1 -run 'CrashRecovery|SortCheckpointed|SortJob' . ./internal/extsort
 	$(GO) test -race -count=1 -run 'Cancellation|BindContext|ENOSPC' .
-
-# Regenerate the checked-in wall-clock A/B document for the async I/O
-# pipeline (sort/partition/splitters, pipeline off vs on, buffered and
-# O_DIRECT backing). Progress goes to stderr, the JSON to BENCH_pr3.json.
-bench:
-	$(GO) run ./cmd/embench -suite pr3 > BENCH_pr3.json
-
-# Regression gate: rerun the pr3 suite and diff it against the checked-in
-# baseline. Fails on any logical-I/O increase or >20% wall-clock growth;
-# rows the current host cannot measure (e.g. no O_DIRECT) are skipped.
-bench-compare:
-	$(GO) run ./cmd/embench -compare BENCH_pr3.json
-
-# Regenerate the checksum-overhead A/B document (sort/partition/splitters,
-# CRC32C off vs on, pipeline off and on). JSON goes to BENCH_pr5.json.
-bench-pr5:
-	$(GO) run ./cmd/embench -suite pr5 > BENCH_pr5.json
-
-# Regenerate the telemetry-overhead A/B document (sort/partition/splitters,
-# tracer+metrics+event log off vs on, pipeline off and on). The contract:
-# logical I/O identical, wall-clock overhead within a few percent. JSON goes
-# to BENCH_pr6.json.
-bench-pr6:
-	$(GO) run ./cmd/embench -suite pr6 > BENCH_pr6.json
-
-# Regenerate the parallel-engine speedup document: extsort/distsort, buffered
-# and O_DIRECT, workers in {1, 2, 4, NumCPU}, with per-row output digests and
-# logical-I/O parity checks against the sequential engine. JSON goes to
-# BENCH_pr7.json.
-bench-pr7:
-	$(GO) run ./cmd/embench -suite pr7 > BENCH_pr7.json
-
-# Regenerate the checkpoint-journal overhead A/B document: file-backed sorts
-# with the journal off, on (default process-crash grade, no fsyncs), and on
-# with -full-sync (power-loss grade, fsync per phase barrier). The contract:
-# logical I/O identical everywhere, default-grade wall overhead within a few
-# percent. JSON goes to BENCH_pr10.json.
-bench-pr10:
-	$(GO) run ./cmd/embench -suite pr10 > BENCH_pr10.json
 
 # Fuzz smoke: each fuzz target runs for ten seconds against its seed corpus
 # plus fresh mutations. A failing input is written under the package's

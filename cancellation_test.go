@@ -47,27 +47,33 @@ type cancelAlgo struct {
 func cancelAlgos() []cancelAlgo {
 	return []cancelAlgo{
 		{"extsort", func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.SortContext(ctx, f)
+			defer sys.BindContext(ctx)()
+			_, err := sys.Sort(f)
 			return err
 		}},
 		{"distsort", func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.DistributionSortContext(ctx, f)
+			defer sys.BindContext(ctx)()
+			_, err := sys.DistributionSort(f)
 			return err
 		}},
 		{"msel", func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.MultiSelectContext(ctx, f, []int64{1, n / 2, n})
+			defer sys.BindContext(ctx)()
+			_, err := sys.MultiSelect(f, []int64{1, n / 2, n})
 			return err
 		}},
 		{"mpart", func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.MultiPartitionContext(ctx, f, []int64{n / 4, n / 4, n - 2*(n/4)})
+			defer sys.BindContext(ctx)()
+			_, err := sys.MultiPartition(f, []int64{n / 4, n / 4, n - 2*(n/4)})
 			return err
 		}},
 		{"approxsplit", func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.SplittersContext(ctx, f, Params{K: 16, A: 16, B: n})
+			defer sys.BindContext(ctx)()
+			_, err := sys.Splitters(f, Params{K: 16, A: 16, B: n})
 			return err
 		}},
 		{"histogram", func(ctx context.Context, sys *System, f *File, n int64) error {
-			_, err := sys.EquiDepthHistogramContext(ctx, f, 8, 0.5, 0.5)
+			defer sys.BindContext(ctx)()
+			_, err := sys.EquiDepthHistogram(f, 8, 0.5, 0.5)
 			return err
 		}},
 	}
@@ -197,7 +203,12 @@ func TestBindContextLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := sys.Stage(workload.Elems(workload.Uniform, 1<<10, 1<<5, 1))
-	if _, err := sys.SortContext(ctx, f); !errors.Is(err, ErrCancelled) {
+	err = func() error {
+		defer sys.BindContext(ctx)()
+		_, err := sys.Sort(f)
+		return err
+	}()
+	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("sort under a dead context: %v, want ErrCancelled", err)
 	}
 	sys.ClearCancel()

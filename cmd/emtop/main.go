@@ -1,5 +1,5 @@
 // Command emtop is a live terminal dashboard for a running empart job: it
-// scrapes the job's /metrics endpoint (emsort/emsplit/embench -metrics-addr)
+// scrapes the job's /metrics endpoint (emsort/emsplit -metrics-addr)
 // and renders phases, I/O counters, pipeline health and sparkline latency
 // histograms, refreshing in place like top(1).
 //

@@ -281,10 +281,11 @@ func (s *System) Cancelled() error { return s.ctx.Disk().Cancelled() }
 func (s *System) ClearCancel() { s.ctx.Disk().ClearCancel() }
 
 // BindContext ties the System's cancellation to a context: when ctx is
-// cancelled, System.Cancel fires with the context's cause. It returns a stop
-// function that detaches the watcher (always call it, typically deferred —
-// the per-operation Context variants like SortContext do this for you). A
-// context that can never be cancelled binds nothing and costs nothing.
+// cancelled, System.Cancel fires with the context's cause, and the running
+// operation returns a *CancelledError wrapping it. It returns a stop
+// function that detaches the watcher (always call it, typically as
+// defer s.BindContext(ctx)() around an algorithm call). A context that can
+// never be cancelled binds nothing and costs nothing.
 func (s *System) BindContext(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -619,15 +620,6 @@ func (s *System) Sort(f *File) (*File, error) {
 	})
 }
 
-// SortContext is Sort bound to a context: cancelling ctx cancels the running
-// sort, which returns a *CancelledError wrapping the context's cause. Every
-// algorithm method has such a variant; they are shorthand for
-// defer s.BindContext(ctx)() around the plain call.
-func (s *System) SortContext(ctx context.Context, f *File) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.Sort(f)
-}
-
 // DistributionSort sorts f by Aggarwal-Vitter distribution (splitter-based
 // scattering) instead of merging: the same Θ((N/B) lg_{M/B}(N/B)) bound,
 // built on the paper's approximate-splitter machinery. With Workers > 0 it
@@ -641,23 +633,11 @@ func (s *System) DistributionSort(f *File) (*File, error) {
 	})
 }
 
-// DistributionSortContext is DistributionSort bound to a context.
-func (s *System) DistributionSortContext(ctx context.Context, f *File) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.DistributionSort(f)
-}
-
 // Select returns the element of the given 1-based rank in O(N/B) I/Os.
 func (s *System) Select(f *File, rank int64) (Elem, error) {
 	return guard(s, func() (Elem, error) {
 		return emsel.Select(s.ctx, f, rank)
 	})
-}
-
-// SelectContext is Select bound to a context.
-func (s *System) SelectContext(ctx context.Context, f *File, rank int64) (Elem, error) {
-	defer s.BindContext(ctx)()
-	return s.Select(f, rank)
 }
 
 // MultiSelect returns the elements of the given nondecreasing ranks, in rank
@@ -666,12 +646,6 @@ func (s *System) MultiSelect(f *File, ranks []int64) (*File, error) {
 	return guard(s, func() (*File, error) {
 		return msel.Select(s.ctx, f, ranks)
 	})
-}
-
-// MultiSelectContext is MultiSelect bound to a context.
-func (s *System) MultiSelectContext(ctx context.Context, f *File, ranks []int64) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.MultiSelect(f, ranks)
 }
 
 // MultiPartition divides f into partitions of the prescribed sizes
@@ -686,12 +660,6 @@ func (s *System) MultiPartition(f *File, sizes []int64) (*File, error) {
 	})
 }
 
-// MultiPartitionContext is MultiPartition bound to a context.
-func (s *System) MultiPartitionContext(ctx context.Context, f *File, sizes []int64) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.MultiPartition(f, sizes)
-}
-
 // Splitters solves approximate K-splitters (Theorem 5): K-1 elements of f
 // whose induced buckets all have sizes in [p.A, p.B].
 func (s *System) Splitters(f *File, p Params) (*File, error) {
@@ -701,12 +669,6 @@ func (s *System) Splitters(f *File, p Params) (*File, error) {
 		}
 		return core.Splitters(s.ctx, f, p)
 	})
-}
-
-// SplittersContext is Splitters bound to a context.
-func (s *System) SplittersContext(ctx context.Context, f *File, p Params) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.Splitters(f, p)
 }
 
 // Partition solves approximate K-partitioning (Theorem 6): K order-respecting
@@ -720,24 +682,12 @@ func (s *System) Partition(f *File, p Params) (*PartitionResult, error) {
 	})
 }
 
-// PartitionContext is Partition bound to a context.
-func (s *System) PartitionContext(ctx context.Context, f *File, p Params) (*PartitionResult, error) {
-	defer s.BindContext(ctx)()
-	return s.Partition(f, p)
-}
-
 // PrecisePartition performs exact b-sized partitioning via the §3 reduction
 // (approximate partitioning plus an O(N/B) re-chunking pass).
 func (s *System) PrecisePartition(f *File, b int64) (*File, error) {
 	return guard(s, func() (*File, error) {
 		return core.PrecisePartitionViaApprox(s.ctx, f, b)
 	})
-}
-
-// PrecisePartitionContext is PrecisePartition bound to a context.
-func (s *System) PrecisePartitionContext(ctx context.Context, f *File, b int64) (*File, error) {
-	defer s.BindContext(ctx)()
-	return s.PrecisePartition(f, b)
 }
 
 // EquiDepthHistogram builds a K-bucket equi-depth histogram with asymmetric
@@ -747,10 +697,4 @@ func (s *System) EquiDepthHistogram(f *File, k int, lo, hi float64) ([]Histogram
 	return guard(s, func() ([]HistogramBucket, error) {
 		return histogram.EquiDepth(s.ctx, f, k, lo, hi)
 	})
-}
-
-// EquiDepthHistogramContext is EquiDepthHistogram bound to a context.
-func (s *System) EquiDepthHistogramContext(ctx context.Context, f *File, k int, lo, hi float64) ([]HistogramBucket, error) {
-	defer s.BindContext(ctx)()
-	return s.EquiDepthHistogram(f, k, lo, hi)
 }
