@@ -89,6 +89,7 @@ crash:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseKeys$$' -fuzztime=10s ./cmd/emsort
 	$(GO) test -run=NONE -fuzz='^FuzzClassify$$' -fuzztime=10s ./internal/approxsplit
+	$(GO) test -run=NONE -fuzz='^FuzzSortRadix$$' -fuzztime=10s ./internal/inmem
 
 microbench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...

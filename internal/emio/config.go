@@ -56,9 +56,12 @@ type Config struct {
 // contiguous blocks in one positioned read. The pipeline moves only physical
 // transfers off the algorithm goroutine: logical I/O accounting, fault-hook
 // firing and trace spans happen at enqueue time, so Stats and outputs are
-// bit-identical with the pipeline on or off. Every physical transfer, with
-// the pipeline on or off, is one positioned read or write syscall on the
-// backing file; the pipeline changes only which goroutine issues it.
+// bit-identical with the pipeline on or off. Physical transfers are not: with
+// the pipeline off every block is one positioned read or write syscall on the
+// backing file, while the pipeline's worker writes offset-adjacent queued
+// blocks with one pwrite and its read-ahead reads up to PrefetchDepth
+// contiguous blocks with one pread, so PhysStats counts fewer, larger
+// transfers.
 //
 // Direct is independent of Enabled: it opens the backing file with O_DIRECT
 // (on platforms that support it), bypassing the OS page cache so every

@@ -567,6 +567,53 @@ func TestStatsArithmetic(t *testing.T) {
 	}
 }
 
+// TestWriterAppendSliceMatchesAppend checks that AppendSlice writes the
+// blocks per-element Append would, at the same points: after every chunk,
+// of every size including empty, multi-block and mixed with Append, the
+// write count matches a writer fed one element at a time, and the files end
+// identical.
+func TestWriterAppendSliceMatchesAppend(t *testing.T) {
+	chunks := []int{0, 1, 3, 8, 5, 17, 0, 64, 2, 9}
+	n := 0
+	for _, c := range chunks {
+		n += c
+	}
+	in := seqElems(n)
+	ref, bulk := mustCtx(t, 64, 8), mustCtx(t, 64, 8)
+	rf, bf := ref.Scratch("ref"), bulk.Scratch("bulk")
+	rw, _ := NewWriter(ref, rf)
+	bw, _ := NewWriter(bulk, bf)
+	off := 0
+	for i, c := range chunks {
+		for _, e := range in[off : off+c] {
+			rw.Append(e)
+		}
+		if i%4 == 3 { // mix in the single-element path
+			for _, e := range in[off : off+c] {
+				bw.Append(e)
+			}
+		} else {
+			bw.AppendSlice(in[off : off+c])
+		}
+		off += c
+		if r, b := ref.Disk().Stats().Writes, bulk.Disk().Stats().Writes; r != b {
+			t.Fatalf("after chunk %d (%d elements): %d block writes, per-element Append made %d", i, off, b, r)
+		}
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ref.Disk().Stats() != bulk.Disk().Stats() || rf.NumBlocks() != bf.NumBlocks() {
+		t.Errorf("stats %v / %d blocks, want %v / %d", bulk.Disk().Stats(), bf.NumBlocks(), ref.Disk().Stats(), rf.NumBlocks())
+	}
+	if !slices.Equal(bf.Snapshot(), in) {
+		t.Error("AppendSlice file differs from its input")
+	}
+}
+
 func TestWriterAppendAfterCloseIsNoop(t *testing.T) {
 	ctx := mustCtx(t, 64, 8)
 	f := ctx.Scratch("wc")

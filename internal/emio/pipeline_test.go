@@ -480,3 +480,51 @@ func TestPipelineValidate(t *testing.T) {
 		t.Error("negative prefetch depth accepted")
 	}
 }
+
+// TestReaderLimitReadAhead checks that a reader's read-ahead cap reaches
+// the pipelined store: by default a sequential scan is served by coalesced
+// read-ahead windows, far fewer physical reads than blocks, while a cap
+// below two blocks reads every block with its own syscall. The elements and
+// logical reads are the same either way.
+func TestReaderLimitReadAhead(t *testing.T) {
+	const n, b = 64 * 8, 8
+	for _, limit := range []int{-1, 0, 1, 4} {
+		ctx := pipelinedCtx(t, 64, b, Pipeline{PrefetchDepth: 8})
+		in := seqElems(n)
+		f, err := StoreAll(ctx, "ra", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(ctx, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit >= 0 {
+			r.LimitReadAhead(limit)
+		}
+		phys0, log0 := ctx.Disk().PhysStats().Reads, ctx.Disk().Stats().Reads
+		for i := 0; ; i++ {
+			e, ok := r.Next()
+			if !ok {
+				break
+			}
+			if e != in[i] {
+				t.Fatalf("limit %d: element %d = %v, want %v", limit, i, e, in[i])
+			}
+		}
+		r.Close()
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		phys, logical := ctx.Disk().PhysStats().Reads-phys0, ctx.Disk().Stats().Reads-log0
+		if logical != n/b {
+			t.Errorf("limit %d: %d logical reads, want %d", limit, logical, n/b)
+		}
+		switch {
+		case limit >= 0 && limit < 2 && phys != logical:
+			t.Errorf("limit %d: %d physical reads for %d blocks, want one each", limit, phys, logical)
+		case (limit < 0 || limit >= 2) && phys*2 > logical:
+			t.Errorf("limit %d: %d physical reads for %d blocks, want coalesced read-ahead", limit, phys, logical)
+		}
+	}
+}

@@ -19,6 +19,7 @@ type Reader struct {
 
 	consume bool // reclaim consumed blocks as the cursor advances
 	lag     int  // blocks kept behind the cursor before reclamation
+	ahead   int  // read-ahead depth hint passed to the store, in blocks
 }
 
 // NewReader opens a sequential reader over f, allocating one block buffer.
@@ -27,8 +28,15 @@ func NewReader(ctx *Ctx, f *File) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{ctx: ctx, f: f, buf: buf}, nil
+	return &Reader{ctx: ctx, f: f, buf: buf, ahead: f.disk.prefetch}, nil
 }
+
+// LimitReadAhead caps how many blocks the store may read ahead of this
+// reader at blocks; below two there is no read-ahead. A pipelined store
+// stages up to two read-ahead windows per reader in host memory that the
+// model's budget does not charge, so a caller holding many readers at once
+// bounds their sum with this. I/O counts and outputs do not change.
+func (r *Reader) LimitReadAhead(blocks int) { r.ahead = min(r.ahead, blocks) }
 
 // Next returns the next element. The second result is false when the stream
 // is exhausted, either by end of file or by an error; consult Err to tell
@@ -69,7 +77,7 @@ func (r *Reader) fetch() bool {
 	if r.blk >= r.f.NumBlocks() {
 		return false
 	}
-	n, err := r.f.readBlockAhead(r.blk, r.buf, r.f.disk.prefetch)
+	n, err := r.f.readBlockAhead(r.blk, r.buf, r.ahead)
 	if err != nil {
 		r.err = err
 		return false

@@ -39,6 +39,22 @@ func (w *Writer) Append(e Elem) {
 	}
 }
 
+// AppendSlice adds every element of es, in order, exactly as that many
+// Append calls would: the same blocks are written at the same points, so I/O
+// counts and write order do not change. It copies a block's worth at a time
+// instead of one element per call.
+func (w *Writer) AppendSlice(es []Elem) {
+	for len(es) > 0 && w.err == nil && w.buf != nil {
+		k := copy(w.buf[w.n:], es)
+		es = es[k:]
+		w.n += k
+		if w.n == len(w.buf) {
+			w.err = w.f.AppendBlock(w.buf)
+			w.n = 0
+		}
+	}
+}
+
 // Flush writes any buffered partial block. Because a partial block seals the
 // file, Flush is a terminal operation: call it once, when the stream is
 // complete. Flushing an empty buffer is a free no-op.

@@ -567,27 +567,16 @@ func mergeSpecs(st *shardState, specs []srcSpec, emit func(emio.Elem)) error {
 		}
 		readers = append(readers, r)
 		if spec.whole != nil {
-			srcs = append(srcs, r.Next)
+			srcs = append(srcs, r.NextBlock)
 		} else {
-			for skip := spec.skip - (spec.skip/b)*b; skip > 0; skip-- {
-				if _, ok := r.Next(); !ok {
-					if err := r.Err(); err != nil {
-						return err
-					}
-					return fmt.Errorf("empar: run %s short of window", spec.run.Name())
+			src, ok := windowSource(r, spec.skip%b, spec.cnt)
+			if !ok {
+				if err := r.Err(); err != nil {
+					return err
 				}
+				return fmt.Errorf("empar: run %s short of window", spec.run.Name())
 			}
-			rr, remaining := r, spec.cnt
-			srcs = append(srcs, func() (emio.Elem, bool) {
-				if remaining <= 0 {
-					return emio.Elem{}, false
-				}
-				e, ok := rr.Next()
-				if ok {
-					remaining--
-				}
-				return e, ok
-			})
+			srcs = append(srcs, src)
 		}
 		total += spec.count()
 	}
@@ -614,6 +603,39 @@ func mergeSpecs(st *shardState, specs []srcSpec, emit func(emio.Elem)) error {
 		return fmt.Errorf("empar: range merge emitted %d of %d elements", n, total)
 	}
 	return nil
+}
+
+// windowSource serves the cnt elements that start skip elements into r's
+// first block, as a block source: NextBlock trimmed at the window's two
+// ends. A nonzero skip fetches the first block now, so blocks are read when
+// skipping and merging element by element would read them; a source past
+// its window returns false without reading further. The second result is
+// false when the first block ends before skip (r.Err tells why).
+func windowSource(r *emio.Reader, skip, cnt int64) (mmheap.Source, bool) {
+	var pending []emio.Elem
+	if skip > 0 {
+		blk, ok := r.NextBlock()
+		if !ok || int64(len(blk)) < skip {
+			return nil, false
+		}
+		pending = blk[skip:]
+	}
+	return func() ([]emio.Elem, bool) {
+		if cnt <= 0 {
+			return nil, false
+		}
+		blk := pending
+		if blk == nil {
+			var ok bool
+			if blk, ok = r.NextBlock(); !ok {
+				return nil, false
+			}
+		}
+		pending = nil
+		blk = blk[:min(int64(len(blk)), cnt)]
+		cnt -= int64(len(blk))
+		return blk, true
+	}, true
 }
 
 // assemble stitches the per-range head/body/tail fragments into one output

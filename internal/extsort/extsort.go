@@ -107,9 +107,7 @@ func formRuns(ctx *emio.Ctx, in *emio.File, startBlk int, observe func(sorted []
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range chunk {
-			w.Append(e)
-		}
+		w.AppendSlice(chunk)
 		if err := w.Close(); err != nil {
 			return nil, err
 		}
@@ -231,6 +229,10 @@ func mergeGroup(ctx *emio.Ctx, group []*emio.File, opt mergeOpts) (*emio.File, e
 		}
 	}
 	srcs := make([]mmheap.Source, 0, len(group))
+	// A pipelined disk stages up to two read-ahead windows per run in host
+	// memory outside the budget; shrink each run's window as the fan-in
+	// grows so the whole merge stages at most about M elements.
+	ahead := ctx.M() / (2 * len(group) * ctx.B())
 	var total int64
 	for _, f := range group {
 		r, err := emio.NewReader(ctx, f)
@@ -238,11 +240,12 @@ func mergeGroup(ctx *emio.Ctx, group []*emio.File, opt mergeOpts) (*emio.File, e
 			closeAll()
 			return nil, err
 		}
+		r.LimitReadAhead(ahead)
 		if opt.consume {
 			r.Consume()
 		}
 		readers = append(readers, r)
-		srcs = append(srcs, r.Next)
+		srcs = append(srcs, r.NextBlock)
 		total += f.Len()
 	}
 	m, err := mmheap.New(ctx, srcs)

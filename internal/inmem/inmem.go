@@ -20,8 +20,9 @@ import (
 	"repro/internal/emio"
 )
 
-// parallelSortMin is the smallest slice Sort splits across two goroutines:
-// below it the goroutine handoff costs more than the second core saves.
+// parallelSortMin is the smallest slice Sort radix sorts or splits across
+// two goroutines: below it the goroutine handoff costs more than the second
+// core saves, and the radix passes' fixed per-bucket costs are not repaid.
 const parallelSortMin = 1 << 15
 
 // splitSample is how many evenly spaced elements the two-way split takes
@@ -30,12 +31,23 @@ const parallelSortMin = 1 << 15
 // of 127 is typically within ~5% of it.
 const splitSample = 127
 
-// Sort sorts s in place by (Key, Aux) with a pattern-defeating quicksort
-// specialised to emio.Elem (zsortelem.go), whose comparison inlines. Run
-// formation sorts M-element runs, and on page-cache backing that sort is the
-// job's largest CPU cost, so a slice of at least parallelSortMin elements on
-// a host with GOMAXPROCS > 1 is split by one pdqsort partition and its two
-// sides are sorted on two goroutines.
+// radixOrdered is the disorder below which Sort compares instead of radix
+// sorting: with fewer than radixOrdered adjacent pairs out of order, or
+// fewer than radixOrdered in order, pdqsort's run detection and partial
+// insertion sort beat a radix pass (~16 pairs was the crossover on 2^18
+// elements, sorted or reversed with random swaps).
+const radixOrdered = 16
+
+// Sort sorts s in place by (Key, Aux). A slice of at least parallelSortMin
+// elements is radix sorted (radix.go) on two goroutines when GOMAXPROCS > 1;
+// run formation sorts M-element runs, and on page-cache backing that sort is
+// the job's largest CPU cost. Input the radix sort handles badly is sorted
+// by comparison instead: nearly sorted or nearly reversed input (counted in
+// the same pre-scan that finds the key range; sorted input is left as it
+// is and strictly descending input reversed), and input whose top digit
+// puts more than half of the elements in one bucket. That path is a
+// pattern-defeating quicksort specialised to emio.Elem (zsortelem.go),
+// whose comparison inlines, split by one partition across two goroutines.
 //
 // The order is total on values, so every correct sort leaves the same bytes:
 // the result is identical to slices.SortFunc(s, emio.Compare). While a
@@ -49,7 +61,24 @@ func Sort(s []emio.Elem) {
 	}
 	n := len(s)
 	limit := bits.Len(uint(n))
-	if n < parallelSortMin || runtime.GOMAXPROCS(0) < 2 {
+	if n < parallelSortMin {
+		pdqsortElem(s, 0, n, limit)
+		return
+	}
+	par := runtime.GOMAXPROCS(0) > 1
+	lo, hi, descents := keyScan(s)
+	switch {
+	case descents == 0:
+		return
+	case descents == n-1: // strictly descending
+		reverseRangeElem(s, 0, n)
+		return
+	case descents >= radixOrdered && descents < n-radixOrdered:
+		if radixSort(s, lo, hi, radixSmall, par, true) {
+			return
+		}
+	}
+	if !par {
 		pdqsortElem(s, 0, n, limit)
 		return
 	}

@@ -1,7 +1,9 @@
 package mmheap
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,15 +11,21 @@ import (
 	"repro/internal/emio"
 )
 
-func sliceSource(s []emio.Elem) Source {
-	i := 0
-	return func() (emio.Elem, bool) {
-		if i >= len(s) {
-			return emio.Elem{}, false
+// sliceSource serves s in blocks of three elements, so every multi-block
+// test also crosses block boundaries.
+func sliceSource(s []emio.Elem) Source { return blockSource(s, 3) }
+
+// blockSource serves s as consecutive blocks of up to blk elements, each a
+// fresh copy that the next call overwrites, as a Reader's buffer is.
+func blockSource(s []emio.Elem, blk int) Source {
+	buf := make([]emio.Elem, blk)
+	return func() ([]emio.Elem, bool) {
+		if len(s) == 0 {
+			return nil, false
 		}
-		e := s[i]
-		i++
-		return e, true
+		n := copy(buf, s)
+		s = s[n:]
+		return buf[:n], true
 	}
 }
 
@@ -204,7 +212,7 @@ func BenchmarkMerge64Way(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		srcs := make([]Source, len(runs))
 		for j, r := range runs {
-			srcs[j] = sliceSource(r)
+			srcs[j] = blockSource(r, 64)
 		}
 		m, _ := New(ctx, srcs)
 		for {
@@ -225,5 +233,193 @@ func TestMergerK(t *testing.T) {
 	defer m.Close()
 	if m.K() != 3 {
 		t.Errorf("K = %d", m.K())
+	}
+}
+
+// windowSource serves the window run[skip:skip+cnt] the way the parallel
+// engine's range merge reads a run window: blocks stay aligned to the run's
+// blk-element blocks, the first one trimmed at the front, the last at the
+// back.
+func windowSource(run []emio.Elem, blk, skip, cnt int) Source {
+	src := blockSource(run[skip/blk*blk:], blk)
+	first := true
+	return func() ([]emio.Elem, bool) {
+		if cnt <= 0 {
+			return nil, false
+		}
+		b, ok := src()
+		if !ok {
+			return nil, false
+		}
+		if first {
+			b, first = b[skip%blk:], false
+		}
+		b = b[:min(len(b), cnt)]
+		cnt -= len(b)
+		return b, true
+	}
+}
+
+// TestMergeMatchesSortedConcatenation is a differential test against
+// sorting the concatenation of the inputs, over random shapes: empty
+// sources, k = 1, k not a power of two, duplicate (Key, Aux) pairs within
+// and across sources, MinInt64 keys, elements equal to {MaxInt64, MaxInt64}
+// (which must come out before any exhausted leaf's sentinel), block sizes
+// from 1 up, and trimmed run windows.
+func TestMergeMatchesSortedConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 4))
+	keys := []int64{math.MinInt64, math.MinInt64 + 1, -5, -1, 0, 1, 3, math.MaxInt64 - 1, math.MaxInt64}
+	pick := func() int64 {
+		if rng.IntN(3) == 0 {
+			return rng.Int64() - rng.Int64()
+		}
+		return keys[rng.IntN(len(keys))]
+	}
+	for trial := 0; trial < 400; trial++ {
+		k := 1 + rng.IntN(19)
+		blk := 1 + rng.IntN(9)
+		srcs := make([]Source, k)
+		var all []emio.Elem
+		for i := range srcs {
+			r := make([]emio.Elem, rng.IntN(40))
+			for j := range r {
+				r[j] = emio.Elem{Key: pick(), Aux: pick()}
+			}
+			slices.SortFunc(r, emio.Compare)
+			if rng.IntN(4) == 0 && len(r) > 0 {
+				skip := rng.IntN(len(r))
+				cnt := rng.IntN(len(r) - skip + 1)
+				srcs[i] = windowSource(r, blk, skip, cnt)
+				r = r[skip : skip+cnt]
+			} else {
+				srcs[i] = blockSource(r, blk)
+			}
+			all = append(all, r...)
+		}
+		slices.SortFunc(all, emio.Compare)
+		ctx := mustCtx(t)
+		m, err := New(ctx, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drain(t, m)
+		m.Close()
+		if !slices.Equal(got, all) {
+			t.Fatalf("trial %d (k=%d, blk=%d): merge differs from the sorted concatenation\ngot  %v\nwant %v", trial, k, blk, got, all)
+		}
+	}
+}
+
+// TestMergeFetchesOnlyWhenConsumed pins the block-fetch timing: a source is
+// called again only once every element of its previous block has been
+// returned by Next, so a disk-backed source reads each block exactly when an
+// element-at-a-time reader would.
+func TestMergeFetchesOnlyWhenConsumed(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	const k, blk = 7, 4
+	runs := make([][]emio.Elem, k)
+	calls := make([]int, k)
+	srcs := make([]Source, k)
+	for i := range runs {
+		r := make([]emio.Elem, rng.IntN(30))
+		for j := range r {
+			r[j] = emio.Elem{Key: rng.Int64N(50), Aux: int64(i)}
+		}
+		slices.SortFunc(r, emio.Compare)
+		runs[i] = r
+		inner := blockSource(r, blk)
+		srcs[i] = func() ([]emio.Elem, bool) {
+			calls[i]++
+			return inner()
+		}
+	}
+	m, err := New(mustCtx(t), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	consumed := make([]int, k)
+	check := func(step int) {
+		for i, r := range runs {
+			// The head is element consumed[i], held from block
+			// consumed[i]/blk; an exhausted leaf made one final call.
+			want := consumed[i]/blk + 1
+			if consumed[i] == len(r) {
+				want = (len(r)+blk-1)/blk + 1
+			}
+			if calls[i] != want {
+				t.Fatalf("step %d: source %d called %d times after consuming %d of %d, want %d",
+					step, i, calls[i], consumed[i], len(r), want)
+			}
+		}
+	}
+	check(0)
+	for step := 1; ; step++ {
+		e, ok := m.Next()
+		if !ok {
+			break
+		}
+		// Aux names the source the element came from.
+		consumed[e.Aux]++
+		check(step)
+	}
+}
+
+// TestMergeHookTranscript pins the comparisons a comparison hook observes
+// during a small 5-way merge, whatever the block sizes: the (lo, hi) pairs
+// below are those of a tournament fed one element per source call, so
+// transcripts see the same comparisons in the same order.
+func TestMergeHookTranscript(t *testing.T) {
+	runs := [][]emio.Elem{
+		{{Key: 1, Aux: 0}, {Key: 4, Aux: 0}, {Key: 9, Aux: 0}},
+		{{Key: 2, Aux: 1}, {Key: 4, Aux: 0}},
+		{},
+		{{Key: 0, Aux: 3}, {Key: 4, Aux: 3}, {Key: 7, Aux: 3}, {Key: math.MaxInt64, Aux: math.MaxInt64}},
+		{{Key: 3, Aux: 4}, {Key: 8, Aux: 4}},
+	}
+	const maxE = math.MaxInt64
+	want := [][2]emio.Elem{
+		{{Key: 1, Aux: 0}, {Key: 2, Aux: 1}},
+		{{Key: 0, Aux: 3}, {Key: 1, Aux: 0}},
+		{{Key: 0, Aux: 3}, {Key: 3, Aux: 4}},
+		{{Key: 1, Aux: 0}, {Key: 4, Aux: 3}},
+		{{Key: 1, Aux: 0}, {Key: 3, Aux: 4}},
+		{{Key: 2, Aux: 1}, {Key: 4, Aux: 0}},
+		{{Key: 2, Aux: 1}, {Key: 4, Aux: 3}},
+		{{Key: 2, Aux: 1}, {Key: 3, Aux: 4}},
+		{{Key: 4, Aux: 0}, {Key: 4, Aux: 3}},
+		{{Key: 3, Aux: 4}, {Key: 4, Aux: 0}},
+		{{Key: 4, Aux: 0}, {Key: 8, Aux: 4}},
+		{{Key: 4, Aux: 0}, {Key: 9, Aux: 0}},
+		{{Key: 4, Aux: 0}, {Key: 4, Aux: 3}},
+		{{Key: 4, Aux: 0}, {Key: 8, Aux: 4}},
+		{{Key: 4, Aux: 3}, {Key: 9, Aux: 0}},
+		{{Key: 4, Aux: 3}, {Key: 8, Aux: 4}},
+		{{Key: 7, Aux: 3}, {Key: 9, Aux: 0}},
+		{{Key: 7, Aux: 3}, {Key: 8, Aux: 4}},
+		{{Key: 9, Aux: 0}, {Key: maxE, Aux: maxE}},
+		{{Key: 8, Aux: 4}, {Key: 9, Aux: 0}},
+	}
+	for _, blk := range []int{1, 2, 5} {
+		srcs := make([]Source, len(runs))
+		for i, r := range runs {
+			srcs[i] = blockSource(r, blk)
+		}
+		var seen [][2]emio.Elem
+		emio.SetCompareHook(func(lo, hi emio.Elem) { seen = append(seen, [2]emio.Elem{lo, hi}) })
+		m, err := New(mustCtx(t), srcs)
+		if err != nil {
+			emio.SetCompareHook(nil)
+			t.Fatal(err)
+		}
+		got := drain(t, m)
+		emio.SetCompareHook(nil)
+		m.Close()
+		if !slices.Equal(seen, want) {
+			t.Errorf("blk=%d: hook observed %v\nwant %v", blk, seen, want)
+		}
+		if len(got) != 11 || got[10] != (emio.Elem{Key: maxE, Aux: maxE}) {
+			t.Errorf("blk=%d: merged %v", blk, got)
+		}
 	}
 }
