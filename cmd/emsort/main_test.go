@@ -47,6 +47,32 @@ func TestRunFileBacked(t *testing.T) {
 	}
 }
 
+// TestRunFileBackedUnderBudget pins a budgeted -backing run to the cost of
+// the same run held in memory. The budget sizes merge fan-in by the disk's
+// consume lag, so a file path that deepened the lag would narrow the merge:
+// at this budget it would take 12500 I/Os instead of 7500.
+func TestRunFileBackedUnderBudget(t *testing.T) {
+	var keys strings.Builder
+	for i := 0; i < 40000; i++ {
+		fmt.Fprintf(&keys, "%d\n", (i*7919)%40000)
+	}
+	cfg := empart.Config{M: 1024, B: 32, DiskBudget: 1300000}
+	var reports [2]string
+	for i, backing := range []string{"", filepath.Join(t.TempDir(), "d.dat")} {
+		var out, report bytes.Buffer
+		if err := run(opts(cfg, backing, false), strings.NewReader(keys.String()), &out, &report); err != nil {
+			t.Fatalf("backing %q: %v", backing, err)
+		}
+		_, reports[i], _ = strings.Cut(report.String(), "\n")
+	}
+	if reports[1] != reports[0] {
+		t.Errorf("file-backed report differs from memory-backed\nfile:\n%s\nmemory:\n%s", reports[1], reports[0])
+	}
+	if !strings.Contains(reports[0], "total=7500") {
+		t.Errorf("report %q: want cost total=7500", reports[0])
+	}
+}
+
 // TestRunHostLine pins the startup line: it records the host's O_DIRECT probe
 // and the backend the run uses, and nothing else.
 func TestRunHostLine(t *testing.T) {

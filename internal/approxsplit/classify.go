@@ -50,16 +50,16 @@ func Classify(sp, es []emio.Elem, out []int32) {
 		b0, b1, b2, b3 := 0, 0, 0, 0
 		for m := n; m > 1; {
 			half := m >> 1
-			b0 += half & -lessBit(sp[b0+half], e0)
-			b1 += half & -lessBit(sp[b1+half], e1)
-			b2 += half & -lessBit(sp[b2+half], e2)
-			b3 += half & -lessBit(sp[b3+half], e3)
+			b0 += half & -emio.LessBit(sp[b0+half], e0)
+			b1 += half & -emio.LessBit(sp[b1+half], e1)
+			b2 += half & -emio.LessBit(sp[b2+half], e2)
+			b3 += half & -emio.LessBit(sp[b3+half], e3)
 			m -= half
 		}
-		out[i] = int32(b0 + lessBit(sp[b0], e0))
-		out[i+1] = int32(b1 + lessBit(sp[b1], e1))
-		out[i+2] = int32(b2 + lessBit(sp[b2], e2))
-		out[i+3] = int32(b3 + lessBit(sp[b3], e3))
+		out[i] = int32(b0 + emio.LessBit(sp[b0], e0))
+		out[i+1] = int32(b1 + emio.LessBit(sp[b1], e1))
+		out[i+2] = int32(b2 + emio.LessBit(sp[b2], e2))
+		out[i+3] = int32(b3 + emio.LessBit(sp[b3], e3))
 	}
 	for ; i < len(es); i++ {
 		out[i] = int32(lowerBound(sp, es[i]))
@@ -78,10 +78,10 @@ func lowerBound(sp []emio.Elem, e emio.Elem) int {
 	base := 0
 	for m := n; m > 1; {
 		half := m >> 1
-		base += half & -lessBit(sp[base+half], e)
+		base += half & -emio.LessBit(sp[base+half], e)
 		m -= half
 	}
-	return base + lessBit(sp[base], e)
+	return base + emio.LessBit(sp[base], e)
 }
 
 // LowerBoundInt64 is lowerBound over an ascending int64 slice: the first i
@@ -98,12 +98,6 @@ func LowerBoundInt64(s []int64, v int64) int {
 		m -= half
 	}
 	return base + b2i(s[base] < v)
-}
-
-// lessBit is emio.Less(a, b) as 0 or 1, built from flag-setting compares
-// rather than branches, and without the comparison hook.
-func lessBit(a, b emio.Elem) int {
-	return b2i(a.Key < b.Key) | b2i(a.Key == b.Key)&b2i(a.Aux < b.Aux)
 }
 
 // b2i converts a bool to 0 or 1; the compiler lowers it to SETcc.

@@ -43,6 +43,21 @@ func SetCompareHook(h func(lo, hi Elem)) {
 // that compare without Less/Compare check it and take an observed path.
 func CompareHooked() bool { return cmpHook.Load() != nil }
 
+// LessBit is Less(a, b) as 0 or 1, built from flag-setting compares rather
+// than branches, and without the comparison hook. Sorts and searches that
+// use it check CompareHooked and take an observed path while a hook is set.
+func LessBit(a, b Elem) int {
+	return b2i(a.Key < b.Key) | b2i(a.Key == b.Key)&b2i(a.Aux < b.Aux)
+}
+
+// b2i converts a bool to 0 or 1; the compiler lowers it to SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Less reports whether a precedes b in the total order (Key, Aux).
 //
 // All algorithms in this repository compare elements with Less (or Compare),
